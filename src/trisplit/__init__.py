@@ -28,10 +28,7 @@ from .proxlib import (
     default_prox_bracket,
     mcp_value,
     soft_threshold,
-    prox_masked_quadratic,
-    prox_nonneg_distance,
     prox_scalar_mcp,
-    prox_spectral_mcp,
 )
 from .splitting import (
     DescentConstants,
@@ -57,7 +54,6 @@ from .stepsize import (
     AdaptiveController,
     PlanInfeasibleError,
     StepsizePlan,
-    adaptive_update,
     alpha_lower_bound,
     gamma_bounds,
     optimize_epsilons,

@@ -13,7 +13,6 @@ g slot, and the stiffer smooth term in the gradient slot.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +24,7 @@ from .core import (
     ProxTerm,
     RealVector,
 )
-from .splitting import IterRecord, StoppingRule, composite_residual, smooth_prox
+from .splitting import IterRecord, StoppingRule, _iterate, _objective, smooth_prox
 
 __all__ = ["DysParams", "DysState", "dys_step", "run_dys"]
 
@@ -68,23 +67,25 @@ def _resolve_roles(p: CompositeProblem, params: DysParams):
     return f_term, g_term, h_term
 
 
-def _any_prox(term, gamma: float, z: RealVector) -> RealVector:
-    if isinstance(term, ProxTerm):
-        return term.prox(gamma, z)
-    return smooth_prox(term, gamma, z)
-
-
 def _make_state(p: CompositeProblem, params: DysParams, z: RealVector, k: int) -> DysState:
     f_term, g_term, h_term = _resolve_roles(p, params)
     gamma = params.gamma
-    x_f = _any_prox(f_term, gamma, z)
+    x_f = smooth_prox(f_term, gamma, z)
     anchor = 2.0 * x_f - z - gamma * h_term.grad(x_f)
     if g_term is p.f3:
         x_g, f3v = p.f3.prox_with_value(gamma, anchor)
     else:
-        x_g = _any_prox(g_term, gamma, anchor)
+        x_g = smooth_prox(g_term, gamma, anchor)
         f3v = float(p.f3.value(x_g))
     return DysState(z=z, x_f=x_f, x_g=x_g, f3_at_xg=f3v, k=k)
+
+
+def _relax(params: DysParams, s: DysState) -> RealVector:
+    """z+ = z + lam (x_g - x_f); a non-finite entry is divergence."""
+    z_plus = s.z.data + params.lam * (s.x_g.data - s.x_f.data)
+    if not np.isfinite(z_plus).all():
+        raise DivergenceError(f"z became non-finite at iteration {s.k + 1}")
+    return s.z.with_data(z_plus)
 
 
 def dys_step(
@@ -93,10 +94,7 @@ def dys_step(
     """One iteration from z; returns (z_plus, x_f, x_g)."""
     p.check_shape(z, "z")
     s = _make_state(p, params, z, k=0)
-    z_plus = z.data + params.lam * (s.x_g.data - s.x_f.data)
-    if not np.isfinite(z_plus).all():
-        raise DivergenceError("z became non-finite in a baseline step")
-    return z.with_data(z_plus), s.x_f, s.x_g
+    return _relax(params, s), s.x_f, s.x_g
 
 
 def run_dys(
@@ -114,37 +112,19 @@ def run_dys(
     """
     stop = stop or StoppingRule()
     z = z0 if z0 is not None else p.zeros()
-    state = _make_state(p, params, z, k=0)
-    records: list[IterRecord] = []
-    if composite_residual(p, stop.prox_gamma, state.x_g) < stop.tol:
-        return state, records
-    t0 = time.perf_counter()
-    try:
-        for _ in range(stop.max_iter):
-            z_plus = state.z.data + params.lam * (state.x_g.data - state.x_f.data)
-            if not np.isfinite(z_plus).all():
-                raise DivergenceError(f"z became non-finite at iteration {state.k + 1}")
-            nxt = _make_state(p, params, state.z.with_data(z_plus), k=state.k + 1)
-            objective = float(p.f1.value(nxt.x_g)) + float(p.f2.value(nxt.x_g)) + nxt.f3_at_xg
-            rec = IterRecord(
-                k=nxt.k,
-                gamma=params.gamma,
-                envelope=None,
-                objective=objective,
-                residual=composite_residual(p, stop.prox_gamma, nxt.x_g),
-                dz1=float(np.linalg.norm(nxt.z.data - state.z.data)),
-                dz2=0.0,
-                dx1=(nxt.x_f - state.x_f).norm(),
-                dx2=0.0,
-                gap31=(nxt.x_g - nxt.x_f).norm(),
-                gap32=0.0,
-                time_ms=(time.perf_counter() - t0) * 1e3,
-            )
-            records.append(rec)
-            state = nxt
-            if rec.residual < stop.tol:
-                break
-    except DivergenceError as err:
-        err.trace = tuple(records)
-        raise
-    return state, records
+
+    def step(s: DysState):
+        nxt = _make_state(p, params, _relax(params, s), k=s.k + 1)
+        return nxt, dict(
+            gamma=params.gamma,
+            envelope=None,
+            objective=_objective(p, nxt.x_g, nxt.f3_at_xg),
+            dz1=float(np.linalg.norm(nxt.z.data - s.z.data)),
+            dz2=0.0,
+            dx1=(nxt.x_f - s.x_f).norm(),
+            dx2=0.0,
+            gap31=(nxt.x_g - nxt.x_f).norm(),
+            gap32=0.0,
+        )
+
+    return _iterate(p, stop, _make_state(p, params, z, k=0), "x_g", step)

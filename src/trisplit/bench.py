@@ -26,6 +26,7 @@ from .splitting import (
     IterRecord,
     RelaxationParams,
     StoppingRule,
+    _objective,
     composite_residual,
     run_ryu,
     write_trace_csv,
@@ -223,7 +224,7 @@ def run_experiment(
         residual = trace[-1].residual
         time_ms = trace[-1].time_ms
     elif state is not None:
-        objective = float(p.f1.value(final_x)) + float(p.f2.value(final_x)) + final_f3
+        objective = _objective(p, final_x, final_f3)
         residual = composite_residual(p, stop.prox_gamma, final_x)
         time_ms = 0.0
     else:

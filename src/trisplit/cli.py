@@ -8,8 +8,10 @@ Exit codes: 0 success, 1 invariant/diagnostic failure, 2 input error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
+from pathlib import Path
 
 from .bench import (
     ALGOS,
@@ -22,7 +24,7 @@ from .bench import (
     write_summary_csv,
 )
 from .checks import run_all_checks
-from .core import DivergenceError, InputError, NumericalError
+from .core import InputError
 from .splitting import StoppingRule, write_trace_csv, write_trace_json
 from .stepsize import PlanInfeasibleError, plan
 
@@ -88,7 +90,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--algos", nargs="+", choices=ALGOS, default=list(ALGOS))
     p_bench.add_argument("--rank", type=int, default=10)
     p_bench.add_argument("--jobs", type=int, default=1, help="worker threads")
-    p_bench.add_argument("--outdir", default=None, help="write traces and summary.csv here")
+    p_bench.add_argument(
+        "--outdir", default=None, help="write traces, summary.csv and reports.json here"
+    )
     _add_protocol_flags(p_bench)
     p_bench.set_defaults(func=cmd_bench)
 
@@ -103,23 +107,7 @@ def cmd_plan(args) -> int:
     if args.format == "json":
         print(json.dumps(sp.as_dict(), indent=1))
     else:
-        fields = dict(
-            l1=sp.l1,
-            l2=sp.l2,
-            lam=sp.lam,
-            alpha=sp.alpha,
-            alpha_bar=sp.alpha_bar,
-            eps1=sp.eps1,
-            eps2=sp.eps2,
-            gbar0=sp.gbar0,
-            gbar1=sp.gbar1,
-            gbar2=sp.gbar2,
-            gbar3=sp.gbar3,
-            gamma_upper=sp.gamma_upper,
-            gamma_ryu=sp.gamma_ryu,
-            thm2_cap=sp.thm2_cap,
-            gamma_in_thm2_cap=sp.gamma_in_thm2_cap,
-        )
+        fields = {**dataclasses.asdict(sp), "gamma_in_thm2_cap": sp.gamma_in_thm2_cap}
         width = max(len(k) for k in fields)
         for key, value in fields.items():
             print(f"{key:<{width}}  {value}")
@@ -150,6 +138,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.outdir:
+        Path(args.outdir).mkdir(parents=True, exist_ok=True)
     reports = run_benchmark(
         sizes=args.sizes,
         seeds=range(args.seeds),
@@ -172,6 +162,10 @@ def cmd_bench(args) -> int:
         path = f"{args.outdir}/summary.csv"
         write_summary_csv(path, rows)
         print(f"summary written to {path}")
+        path = f"{args.outdir}/reports.json"
+        with open(path, "w") as fh:
+            json.dump([{k: v for k, v in vars(r).items() if k != "trace"} for r in reports], fh, indent=1)
+        print(f"reports written to {path}")
     return 0
 
 
@@ -190,7 +184,7 @@ def main(argv=None) -> int:
     except (InputError, PlanInfeasibleError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except (DivergenceError, NumericalError) as exc:
+    except ArithmeticError as exc:  # NumericalError, ZeroDivisionError, OverflowError
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

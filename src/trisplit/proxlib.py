@@ -29,9 +29,6 @@ __all__ = [
     "ZeroProxTerm",
     "mcp_value",
     "prox_scalar_mcp",
-    "prox_nonneg_distance",
-    "prox_masked_quadratic",
-    "prox_spectral_mcp",
     "soft_threshold",
     "brute_force_prox_1d",
     "default_prox_bracket",
@@ -121,8 +118,8 @@ class NonnegDistanceTerm(SmoothTerm):
     weight: float = 1.0
 
     def __post_init__(self):
-        if self.weight < 0:
-            raise InputError("weight must be nonnegative")
+        if not 0 <= self.weight < np.inf:
+            raise InputError("weight must be finite and nonnegative")
 
     @property
     def lipschitz(self) -> float:
@@ -137,15 +134,11 @@ class NonnegDistanceTerm(SmoothTerm):
         return x.with_data(self.weight * np.minimum(x.data, 0.0))
 
     def prox(self, gamma: float, x: RealVector) -> RealVector:
-        return prox_nonneg_distance(self, gamma, x)
-
-
-def prox_nonneg_distance(t: NonnegDistanceTerm, gamma: float, x: RealVector) -> RealVector:
-    """Componentwise: keep nonnegative entries, shrink negatives by 1/(1+gamma*w)."""
-    if gamma <= 0:
-        raise InputError("gamma must be positive")
-    d = x.data
-    return x.with_data(np.where(d >= 0.0, d, d / (1.0 + gamma * t.weight)))
+        """Componentwise: keep nonnegative entries, shrink negatives by 1/(1+gamma*w)."""
+        if gamma <= 0:
+            raise InputError("gamma must be positive")
+        d = x.data
+        return x.with_data(np.where(d >= 0.0, d, d / (1.0 + gamma * self.weight)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,14 +182,10 @@ class MaskedQuadraticTerm(SmoothTerm):
         return x.with_data(self._masked_diff(x))
 
     def prox(self, gamma: float, x: RealVector) -> RealVector:
-        return prox_masked_quadratic(self, gamma, x)
-
-
-def prox_masked_quadratic(t: MaskedQuadraticTerm, gamma: float, x: RealVector) -> RealVector:
-    """X - gamma/(1+gamma) * P(X - M); entries outside the mask pass through."""
-    if gamma <= 0:
-        raise InputError("gamma must be positive")
-    return x.with_data(x.data - (gamma / (1.0 + gamma)) * t._masked_diff(x))
+        """X - gamma/(1+gamma) * P(X - M); entries outside the mask pass through."""
+        if gamma <= 0:
+            raise InputError("gamma must be positive")
+        return x.with_data(x.data - (gamma / (1.0 + gamma)) * self._masked_diff(x))
 
 
 @dataclass(frozen=True)
@@ -207,39 +196,35 @@ class SpectralMCPTerm(ProxTerm):
     tau: float = 1.0
 
     def __post_init__(self):
-        if self.weight < 0 or self.tau <= 0:
-            raise InputError("need weight >= 0 and tau > 0")
+        if not (0 <= self.weight < np.inf and self.tau > 0):
+            raise InputError("need a finite weight >= 0 and tau > 0")
 
-    def _mat(self, x: RealVector) -> np.ndarray:
+    def _svd(self, x: RealVector, **kwargs):
         if len(x.shape) != 2:
             raise InputError("spectral MCP term requires matrix-shaped vectors")
-        return x.mat
+        try:
+            return np.linalg.svd(x.mat, **kwargs)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"SVD failed in spectral MCP term: {exc}") from None
 
     def value(self, x: RealVector) -> float:
-        s = np.linalg.svd(self._mat(x), compute_uv=False)
+        s = self._svd(x, compute_uv=False)
         return self.weight * float(np.sum(mcp_value(s, self.tau)))
 
     def prox(self, gamma: float, z: RealVector) -> RealVector:
         return self.prox_with_value(gamma, z)[0]
 
     def prox_with_value(self, gamma: float, z: RealVector) -> tuple[RealVector, float]:
+        """Thin SVD, firm-threshold each singular value, reconstruct."""
         if gamma <= 0:
             raise InputError("gamma must be positive")
-        try:
-            u, s, vt = np.linalg.svd(self._mat(z), full_matrices=False)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"SVD failed in spectral MCP prox: {exc}") from None
+        u, s, vt = self._svd(z, full_matrices=False)
         s_new = prox_scalar_mcp(self.weight, self.tau, gamma, s)
         point = z.with_data((u * s_new) @ vt)
         # scalar prox is monotone on sorted values, so s_new are the output's
         # singular values and the penalty value comes for free
         val = self.weight * float(np.sum(mcp_value(s_new, self.tau)))
         return point, val
-
-
-def prox_spectral_mcp(t: SpectralMCPTerm, gamma: float, x: RealVector) -> RealVector:
-    """Thin SVD, firm-threshold each singular value, reconstruct."""
-    return t.prox(gamma, x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -285,8 +270,8 @@ class ScaledL1Term(ProxTerm):
     weight: float = 1.0
 
     def __post_init__(self):
-        if self.weight < 0:
-            raise InputError("weight must be nonnegative")
+        if not 0 <= self.weight < np.inf:
+            raise InputError("weight must be finite and nonnegative")
 
     def value(self, x: RealVector) -> float:
         return self.weight * float(np.sum(np.abs(x.data)))
@@ -303,8 +288,8 @@ class SeparableMCPTerm(ProxTerm):
     tau: float = 1.0
 
     def __post_init__(self):
-        if self.weight < 0 or self.tau <= 0:
-            raise InputError("need weight >= 0 and tau > 0")
+        if not (0 <= self.weight < np.inf and self.tau > 0):
+            raise InputError("need a finite weight >= 0 and tau > 0")
 
     def value(self, x: RealVector) -> float:
         return self.weight * float(np.sum(mcp_value(x.data, self.tau)))

@@ -14,6 +14,9 @@ minimum over y of f3(y) plus the proximal linearizations of f1, f2 anchored at
 the shadow points x1, x2 with weights gamma1 = gamma/alpha and
 gamma2 = gamma/(1-alpha); it decreases by a computable margin per step for
 admissible stepsizes and is used both as a diagnostic and in the tests.
+
+`_iterate` is the only iteration loop: `run_ryu` and the Davis-Yin
+`baselines.run_dys` each pass it one step function.
 """
 
 from __future__ import annotations
@@ -411,8 +414,9 @@ def identity_check(
     return lhs1, rhs1, lhs2, rhs2
 
 
-def _objective_at_x3(p: CompositeProblem, s: SplitState) -> float:
-    return float(p.f1.value(s.x3)) + float(p.f2.value(s.x3)) + s.f3_at_x3
+def _objective(p: CompositeProblem, x: RealVector, f3_at_x: float) -> float:
+    """f1(x) + f2(x) + f3(x), with f3(x) already known."""
+    return float(p.f1.value(x)) + float(p.f2.value(x)) + f3_at_x
 
 
 def _envelope_enabled(
@@ -429,6 +433,46 @@ def _envelope_enabled(
     # default: on for moderate sizes whenever prox-boundedness is guaranteed
     cap = 1.0 / (p.f1.lipschitz + p.f2.lipschitz)
     return params.gamma < cap and p.dim <= 10_000
+
+
+def _iterate(p: CompositeProblem, stop: StoppingRule, state, point: str, step, after=None):
+    """The iteration loop shared by every solver.
+
+    `point` names the state attribute the composite residual is taken at.
+    `step(state)` returns the next state, whose `k` is one higher, and the
+    remaining IterRecord fields; the loop adds k, residual and time_ms. It
+    stops when the residual drops below tol or after max_iter steps, and
+    otherwise hands each new state and its record to `after`, which returns
+    the state to continue from. Returns the final state and the records.
+
+    A non-finite objective or residual is divergence. On divergence the
+    records so far are attached to the DivergenceError as `.trace`.
+    """
+    records: list[IterRecord] = []
+    if composite_residual(p, stop.prox_gamma, getattr(state, point)) < stop.tol:
+        return state, records
+    t0 = time.perf_counter()
+    try:
+        for _ in range(stop.max_iter):
+            nxt, fields = step(state)
+            rec = IterRecord(
+                k=nxt.k,
+                residual=composite_residual(p, stop.prox_gamma, getattr(nxt, point)),
+                time_ms=(time.perf_counter() - t0) * 1e3,
+                **fields,
+            )
+            if not (math.isfinite(rec.objective) and math.isfinite(rec.residual)):
+                raise DivergenceError(f"objective or residual became non-finite at iteration {rec.k}")
+            records.append(rec)
+            state = nxt
+            if rec.residual < stop.tol:
+                break
+            if after is not None:
+                state = after(state, rec)
+    except DivergenceError as err:
+        err.trace = tuple(records)
+        raise
+    return state, records
 
 
 def run_ryu(
@@ -455,49 +499,39 @@ def run_ryu(
     z1 = z1_0 if z1_0 is not None else p.zeros()
     z2 = z2_0 if z2_0 is not None else p.zeros()
     state = make_state(p, params, z1, z2, k=0)
-    records: list[IterRecord] = []
     want_envelope = _envelope_enabled(envelope, p, params)
-    if composite_residual(p, stop.prox_gamma, state.x3) < stop.tol:
-        return state, records
-    t0 = time.perf_counter()
-    try:
-        for _ in range(stop.max_iter):
-            nxt = ryu_step(p, params, state)
-            rec = IterRecord(
-                k=nxt.k,
-                gamma=params.gamma,
-                envelope=state_envelope(p, params, nxt) if want_envelope else None,
-                objective=_objective_at_x3(p, nxt),
-                residual=composite_residual(p, stop.prox_gamma, nxt.x3),
-                dz1=(nxt.z1 - state.z1).norm(),
-                dz2=(nxt.z2 - state.z2).norm(),
-                dx1=(nxt.x1 - state.x1).norm(),
-                dx2=(nxt.x2 - state.x2).norm(),
-                gap31=(nxt.x3 - nxt.x1).norm(),
-                gap32=(nxt.x3 - nxt.x2).norm(),
-                time_ms=(time.perf_counter() - t0) * 1e3,
-            )
-            records.append(rec)
-            state = nxt
-            if rec.residual < stop.tol:
-                break
-            if controller is not None:
-                new_gamma = controller.update(
-                    k=state.k,
-                    dx1_norm=rec.dx1,
-                    dx2_norm=rec.dx2,
-                    x1_norm=state.x1.norm(),
-                    x2_norm=state.x2.norm(),
-                )
-                if new_gamma != params.gamma:
-                    params = replace(params, gamma=new_gamma)
-                    want_envelope = _envelope_enabled(envelope, p, params)
-                    # shadow points depend on gamma: refresh for the new value
-                    state = make_state(p, params, state.z1, state.z2, k=state.k)
-    except DivergenceError as err:
-        err.trace = tuple(records)
-        raise
-    return state, records
+
+    def step(s: SplitState):
+        nxt = ryu_step(p, params, s)
+        return nxt, dict(
+            gamma=params.gamma,
+            envelope=state_envelope(p, params, nxt) if want_envelope else None,
+            objective=_objective(p, nxt.x3, nxt.f3_at_x3),
+            dz1=(nxt.z1 - s.z1).norm(),
+            dz2=(nxt.z2 - s.z2).norm(),
+            dx1=(nxt.x1 - s.x1).norm(),
+            dx2=(nxt.x2 - s.x2).norm(),
+            gap31=(nxt.x3 - nxt.x1).norm(),
+            gap32=(nxt.x3 - nxt.x2).norm(),
+        )
+
+    def adapt(s: SplitState, rec: IterRecord) -> SplitState:
+        nonlocal params, want_envelope
+        new_gamma = controller.update(
+            k=s.k,
+            dx1_norm=rec.dx1,
+            dx2_norm=rec.dx2,
+            x1_norm=s.x1.norm(),
+            x2_norm=s.x2.norm(),
+        )
+        if new_gamma == params.gamma:
+            return s
+        params = replace(params, gamma=new_gamma)
+        want_envelope = _envelope_enabled(envelope, p, params)
+        # shadow points depend on gamma: refresh for the new value
+        return make_state(p, params, s.z1, s.z2, k=s.k)
+
+    return _iterate(p, stop, state, "x3", step, adapt if controller is not None else None)
 
 
 TRACE_COLUMNS = (

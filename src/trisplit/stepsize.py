@@ -36,7 +36,6 @@ __all__ = [
     "eps2_star",
     "optimize_epsilons",
     "plan",
-    "adaptive_update",
 ]
 
 
@@ -277,6 +276,7 @@ class AdaptiveController:
     def update(
         self, k: int, dx1_norm: float, dx2_norm: float, x1_norm: float, x2_norm: float
     ) -> float:
+        """Apply the shrink rule once and return the (possibly updated) stepsize."""
         if k < 1:
             raise InputError("adaptive update needs k >= 1")
         if self.gamma_current > self.gamma_ryu and (
@@ -284,15 +284,3 @@ class AdaptiveController:
         ):
             self.gamma_current = max(self.shrink * self.gamma_current, self.floor)
         return self.gamma_current
-
-
-def adaptive_update(
-    ctrl: AdaptiveController,
-    k: int,
-    dx1_norm: float,
-    dx2_norm: float,
-    x1_norm: float,
-    x2_norm: float,
-) -> float:
-    """Apply the shrink rule once and return the (possibly updated) stepsize."""
-    return ctrl.update(k, dx1_norm, dx2_norm, x1_norm, x2_norm)

@@ -2,9 +2,11 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import trisplit.baselines as baselines
 from tests.conftest import make_quadratic_problem
 from trisplit import (
     CompositeProblem,
+    DivergenceError,
     DysParams,
     InputError,
     QuadraticTerm,
@@ -91,6 +93,22 @@ class TestRunDys:
         state, trace = run_dys(prob, params, z0=z0)
         assert trace == []
         assert (state.x_g - xstar).norm() < 1e-9
+
+    def test_divergence_attaches_partial_trace(self, monkeypatch):
+        prob, _ = convex_l1_problem(d=3, seed=1)
+        real_relax = baselines._relax
+        calls = {"n": 0}
+
+        def flaky(params, s):
+            calls["n"] += 1
+            if calls["n"] > 3:
+                raise DivergenceError("synthetic blow-up")
+            return real_relax(params, s)
+
+        monkeypatch.setattr(baselines, "_relax", flaky)
+        with pytest.raises(DivergenceError) as exc_info:
+            run_dys(prob, DysParams(gamma=0.3), stop=StoppingRule(tol=1e-12, max_iter=50))
+        assert [r.k for r in exc_info.value.trace] == [1, 2, 3]
 
     def test_trace_schema_padding(self):
         prob, _ = convex_l1_problem(d=3, seed=17)

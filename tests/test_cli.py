@@ -5,14 +5,21 @@ subprocess test for the installed console script.
 """
 
 import argparse
+import contextlib
 import csv
+import io
 import json
+import math
 import subprocess
 import sys
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trisplit import cli
+from trisplit.bench import ALGOS
 from trisplit.core import DivergenceError
 from trisplit.splitting import TRACE_COLUMNS
 
@@ -121,6 +128,9 @@ class TestBenchCommand:
         assert len(rows) == 2  # one grouped row: dys at 12x12/s=40
         for seed in (0, 1):
             assert (tmp_path / f"trace_dys_12x12_s40_seed{seed}.csv").exists()
+        reports = json.loads((tmp_path / "reports.json").read_text())
+        assert [(r["algo"], r["seed"]) for r in reports] == [("dys", 0), ("dys", 1)]
+        assert all("trace" not in r and r["converged"] for r in reports)
 
     def test_bench_bad_sizes_exits_2(self, capsys):
         rc = cli.main(["bench", "--sizes", "nonsense"])
@@ -155,6 +165,17 @@ class TestExitCodes:
         assert cli.main(["solve", "--algo", "bogus"]) == 2
         capsys.readouterr()
 
+    def test_nan_tau_exits_2(self, capsys):
+        rc = cli.main(["solve", "--algo", "ryu", "--n", "12", "--s", "40", "--rank", "3", "--tau", "nan"])
+        assert rc == 2
+        assert "input error" in capsys.readouterr().err
+
+    def test_float_arithmetic_error_exits_3(self, capsys):
+        # lam * alpha underflows to 0 inside the planner
+        rc = cli.main(["plan", "--l1", "0.3", "--l2", "1e-3", "--lam", "1e-300", "--alpha", "1e-300"])
+        assert rc == 3
+        assert "numerical failure" in capsys.readouterr().err
+
     def test_numerical_failure_exits_3(self, monkeypatch, capsys):
         def boom():
             raise DivergenceError("iterates blew up")
@@ -163,6 +184,60 @@ class TestExitCodes:
         rc = cli.main(["check"])
         assert rc == 3
         assert "numerical failure" in capsys.readouterr().err
+
+
+# Malformed and extreme arguments: every float flag is drawn from the edge
+# values below or from ordinary magnitudes, or left at its default.
+EXTREME = ["nan", "inf", "-inf", "0", "-1", "1e-300", "1e308"]
+float_arg = st.one_of(st.sampled_from(EXTREME), st.floats(1e-3, 2.0).map(repr), st.floats(2.0, 1e3).map(repr))
+
+
+def flags(required=(), optional=()):
+    return st.fixed_dictionaries(
+        {name: float_arg for name in required}, optional={name: float_arg for name in optional}
+    ).map(lambda d: [f"{name}={value}" for name, value in d.items()])  # "=" lets "-inf" through
+
+
+@st.composite
+def instance_args(draw):
+    """--n/--rank/--s, mostly consistent so that runs get past instance generation."""
+    n = draw(st.integers(-1, 12))
+    rank = draw(st.integers(-1, 4))
+    s = draw(st.integers(-1, max(n, 1) ** 2 + 1))
+    return ["--n", str(n), "--rank", str(rank), "--s", str(s)]
+
+
+def run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rc = cli.main(argv)
+    return rc, out.getvalue()
+
+
+class TestArgumentFuzzing:
+    @given(flags(required=["--l1", "--l2"], optional=["--lam", "--alpha"]), st.sampled_from(["text", "json"]))
+    @settings(max_examples=300, deadline=None)
+    def test_plan(self, argv, fmt):
+        rc, _ = run_main(["plan", *argv, "--format", fmt])
+        assert rc in (0, 2, 3)
+
+    @given(
+        st.sampled_from(ALGOS),
+        instance_args(),
+        st.integers(-1, 20),
+        flags(
+            optional=["--lam", "--alpha", "--lambda1", "--lambda2", "--tau", "--tol", "--proxgamma", "--gamma", "--gamma-dys"]
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_solve(self, algo, instance, max_iter, argv):
+        rc, out = run_main(["solve", "--algo", algo, *instance, "--max-iter", str(max_iter), *argv])
+        assert rc in (0, 2, 3)
+        if rc == 0:
+            obj = float(out.split("obj=")[1].split()[0])
+            residual = float(out.split("residual=")[1].split()[0])
+            assert math.isfinite(obj) and math.isfinite(residual), out
 
 
 def test_console_script_installed():

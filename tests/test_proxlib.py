@@ -8,6 +8,7 @@ from trisplit import (
     InputError,
     MaskedQuadraticTerm,
     NonnegDistanceTerm,
+    NumericalError,
     QuadraticTerm,
     RealVector,
     ScaledL1Term,
@@ -16,10 +17,7 @@ from trisplit import (
     brute_force_prox_1d,
     default_prox_bracket,
     mcp_value,
-    prox_masked_quadratic,
-    prox_nonneg_distance,
     prox_scalar_mcp,
-    prox_spectral_mcp,
     soft_threshold,
 )
 
@@ -109,7 +107,7 @@ class TestNonnegDistance:
         t = NonnegDistanceTerm(10.0)
         g = 0.3
         x = RealVector([2.0, -1.0], (2,))
-        out = prox_nonneg_distance(t, g, x)
+        out = t.prox(g, x)
         npt.assert_allclose(out.data, [2.0, -1.0 / (1 + g * 10.0)], rtol=1e-14)
 
     @given(moderate)
@@ -117,7 +115,7 @@ class TestNonnegDistance:
     def test_prox_matches_brute_force(self, v):
         t = NonnegDistanceTerm(3.0)
         g = 0.7
-        got = prox_nonneg_distance(t, g, RealVector([v], (1,))).data[0]
+        got = t.prox(g, RealVector([v], (1,))).data[0]
 
         def obj(u):
             return g * 0.5 * 3.0 * np.minimum(u, 0.0) ** 2 + 0.5 * (u - v) ** 2
@@ -150,7 +148,7 @@ class TestMaskedQuadratic:
         t = self.make()
         g = 0.5
         x = RealVector(np.ones((2, 3)), (2, 3))
-        out = prox_masked_quadratic(t, g, x).mat
+        out = t.prox(g, x).mat
         # off the mask: untouched; on the mask: (x + g m)/(1 + g)
         assert out[0, 1] == 1.0
         assert out[0, 0] == pytest.approx((1.0 + g * 0.0) / (1 + g))
@@ -160,7 +158,7 @@ class TestMaskedQuadratic:
         t = self.make()
         g = 1.3
         x = RealVector(rng.standard_normal((2, 3)), (2, 3))
-        out = prox_masked_quadratic(t, g, x)
+        out = t.prox(g, x)
         resid = g * t.grad(out).data + (out.data - x.data)
         npt.assert_allclose(resid, 0.0, atol=1e-12)
 
@@ -179,7 +177,7 @@ class TestSpectralMCP:
         t = SpectralMCPTerm(weight=5.0, tau=100.0)
         z = RealVector(rng.standard_normal((m, n)) * 3.0, (m, n))
         g = 0.02
-        out = prox_spectral_mcp(t, g, z)
+        out = t.prox(g, z)
         su = np.linalg.svd(z.mat, compute_uv=False)
         so = np.linalg.svd(out.mat, compute_uv=False)
         expected = prox_scalar_mcp(t.weight, t.tau, g, su)
@@ -202,6 +200,47 @@ class TestSpectralMCP:
         z = RealVector(np.zeros((3, 3)), (3, 3))
         out = t.prox(0.5, z)
         npt.assert_array_equal(out.mat, np.zeros((3, 3)))
+
+
+class TestParameterValidation:
+    @pytest.mark.parametrize(
+        "term", [NonnegDistanceTerm, ScaledL1Term, SeparableMCPTerm, SpectralMCPTerm]
+    )
+    @pytest.mark.parametrize("bad", [float("nan"), -1.0, float("inf")])
+    def test_rejects_bad_weight(self, term, bad):
+        with pytest.raises(InputError):
+            term(weight=bad)
+
+    @pytest.mark.parametrize("term", [SeparableMCPTerm, SpectralMCPTerm])
+    @pytest.mark.parametrize("bad", [float("nan"), -1.0, 0.0])
+    def test_rejects_bad_tau(self, term, bad):
+        with pytest.raises(InputError):
+            term(tau=bad)
+
+    def test_infinite_tau_is_the_l1_limit(self):
+        t = SpectralMCPTerm(weight=2.0, tau=float("inf"))
+        x = RealVector(np.diag([3.0, 1.0]), (2, 2))
+        assert t.value(x) == pytest.approx(2.0 * 4.0)
+        assert SeparableMCPTerm(weight=2.0, tau=float("inf")).value(x) == pytest.approx(8.0)
+
+
+class TestSpectralSVDFailure:
+    @pytest.fixture(autouse=True)
+    def failing_svd(self, monkeypatch):
+        def svd(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
+
+    def test_value_maps_to_numerical_error(self):
+        t = SpectralMCPTerm(weight=1.0, tau=2.0)
+        with pytest.raises(NumericalError):
+            t.value(RealVector(np.eye(3), (3, 3)))
+
+    def test_prox_maps_to_numerical_error(self):
+        t = SpectralMCPTerm(weight=1.0, tau=2.0)
+        with pytest.raises(NumericalError):
+            t.prox_with_value(0.5, RealVector(np.eye(3), (3, 3)))
 
 
 class TestConvexProxContraction:

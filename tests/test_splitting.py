@@ -382,6 +382,15 @@ class TestRunRyu:
             run_ryu(prob, params, stop=StoppingRule(tol=1e-12, max_iter=50))
         assert len(exc_info.value.trace) == 3
 
+    def test_nonfinite_residual_is_divergence(self, monkeypatch):
+        prob, _ = convex_l1_problem(d=3, seed=1)
+        params = RelaxationParams(gamma=0.05, lam=1.0, alpha=0.8)
+        residuals = iter([1.0, 0.5, 0.25, math.inf])
+        monkeypatch.setattr(splitting, "composite_residual", lambda p, g, x: next(residuals))
+        with pytest.raises(DivergenceError) as exc_info:
+            run_ryu(prob, params, stop=StoppingRule(tol=1e-12, max_iter=50))
+        assert [r.k for r in exc_info.value.trace] == [1, 2]
+
     def test_objective_column_matches_direct_evaluation(self):
         prob, _ = convex_l1_problem(d=4, seed=3)
         params = RelaxationParams(gamma=0.05, lam=1.0, alpha=0.8)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from trisplit import (
     AdaptiveController,
     InputError,
-    adaptive_update,
     alpha_lower_bound,
     gamma_bounds,
     plan,
@@ -192,9 +191,9 @@ class TestAdaptiveController:
         with pytest.raises(InputError):
             c.update(k=0, dx1_norm=0, dx2_norm=0, x1_norm=0, x2_norm=0)
 
-    def test_free_function_wrapper(self):
+    def test_update_stores_the_returned_stepsize(self):
         c = AdaptiveController(gamma_ryu=0.01, gamma_current=0.8, c0=1.0)
-        g = adaptive_update(c, 1, 5.0, 7.0, 0.0, 0.0)
+        g = c.update(1, 5.0, 7.0, 0.0, 0.0)
         assert g == pytest.approx(0.4)
         assert c.gamma_current == pytest.approx(0.4)
 
