@@ -45,6 +45,13 @@ def tiny_instance():
     return generate_instance(12, 9, 3, 40, seed=7)
 
 
+def pytest_collection_modifyitems(config, items):
+    # Criteria 7-8 share the full 5-seed benchmark protocol, which takes about
+    # 15 minutes on a 2-core machine. Run them after every other test so the
+    # quick ones report first; the order within each group is kept.
+    items.sort(key=lambda item: "benchmark_reports" in item.fixturenames)
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     # The acceptance module may be imported under a path-dependent name, so
     # locate the copy that actually ran instead of importing a fresh one.
