@@ -1,19 +1,29 @@
-"""Self-contained diagnostic suite backing the `check` CLI subcommand.
+"""Check measurements shared by `trisplit check` and the acceptance suite.
 
-Hermetic and fast: fixed seeds, no file or network access, a few seconds of
-compute. Each check raises AssertionError on failure; the runner prints one
+Each measurement function returns the worst value it measured and asserts
+nothing, so every caller keeps its own sizes, seeds and tolerances. The
+problem builders the measurements run on live here too.
+
+The `check_*` functions are the hermetic diagnostic suite behind
+`trisplit check`: fixed seeds, no file or network access, a few seconds of
+compute. Each raises AssertionError on failure; the runner prints one
 PASS/FAIL line per check.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from .baselines import DysParams, dys_step, run_dys
 from .bench import build_problem, generate_instance
-from .core import RealVector, gradient_check, lipschitz_probe
+from .core import CompositeProblem, RealVector, evaluate_objective, gradient_check, lipschitz_probe
 from .proxlib import (
+    NonnegDistanceTerm,
     QuadraticTerm,
     ScaledL1Term,
+    SeparableMCPTerm,
     brute_force_prox_1d,
     default_prox_bracket,
     mcp_value,
@@ -33,72 +43,247 @@ from .splitting import (
     ryu_step,
     state_envelope,
 )
-from .baselines import DysParams, dys_step, run_dys
-from .core import CompositeProblem
-from .stepsize import alpha_lower_bound, eps1_interval, eps2_lower, plan
+from .stepsize import StepsizePlan, alpha_lower_bound, eps1_interval, eps2_lower, plan
 
 SMALL_BENCH = dict(m=12, n=9, r=3, s=40, seed=7)
 
 
+# ---------------------------------------------------------------------------
+# Problem builders
+# ---------------------------------------------------------------------------
+
+
+def random_psd(rng, d, lmax):
+    """Symmetric PSD matrix with largest eigenvalue exactly lmax."""
+    q = rng.standard_normal((d, d))
+    a = q.T @ q
+    eigs = np.linalg.eigvalsh(a)
+    return a * (lmax / eigs[-1])
+
+
+def make_quadratic_problem(rng, d=8, l1=None, l2=None, f3="l1"):
+    """Two random quadratics plus a separable nonsmooth term, as a test triple."""
+    l1 = l1 if l1 is not None else float(rng.uniform(0.5, 10.0))
+    l2 = l2 if l2 is not None else float(rng.uniform(0.5, 10.0))
+    f1 = QuadraticTerm(matrix=random_psd(rng, d, l1), center=rng.standard_normal(d))
+    f2 = QuadraticTerm(matrix=random_psd(rng, d, l2), center=rng.standard_normal(d))
+    if f3 == "l1":
+        t3 = ScaledL1Term(weight=0.3)
+    elif f3 == "mcp":
+        t3 = SeparableMCPTerm(weight=0.3, tau=2.0)
+    else:
+        raise ValueError(f3)
+    return CompositeProblem(f1=f1, f2=f2, f3=t3, shape=(d,))
+
+
+def convex_l1_problem(d, a=1.0, b=2.0, w=0.5, seed=0):
+    """1/2 a||x-p||^2 + 1/2 b||x-q||^2 + w||x||_1 with a closed-form minimizer."""
+    rng = np.random.default_rng(seed)
+    p_ = rng.standard_normal(d) * 2
+    q_ = rng.standard_normal(d) * 2
+    prob = CompositeProblem(
+        f1=QuadraticTerm(matrix=a * np.eye(d), center=p_),
+        f2=QuadraticTerm(matrix=b * np.eye(d), center=q_),
+        f3=ScaledL1Term(weight=w),
+        shape=(d,),
+    )
+    # soft threshold written out, not proxlib's: this is the reference value
+    c = (a * p_ + b * q_) / (a + b)
+    xstar = np.sign(c) * np.maximum(np.abs(c) - w / (a + b), 0.0)
+    return prob, RealVector(xstar, (d,))
+
+
 def _small_bench_problem():
-    inst = generate_instance(**SMALL_BENCH)
-    return build_problem(inst)
+    return build_problem(generate_instance(**SMALL_BENCH))
 
 
-def _random_quadratic_problem(rng, d=8, f3_weight=0.3):
-    def psd(scale):
-        q = rng.standard_normal((d, d))
-        a = q.T @ q
-        a *= scale / np.linalg.eigvalsh(a)[-1]
-        return a
+# ---------------------------------------------------------------------------
+# Measurements: each returns its worst value and asserts nothing
+# ---------------------------------------------------------------------------
 
-    f1 = QuadraticTerm(psd(rng.uniform(0.5, 4.0)), rng.standard_normal(d))
-    f2 = QuadraticTerm(psd(rng.uniform(0.5, 4.0)), rng.standard_normal(d))
-    return CompositeProblem(f1=f1, f2=f2, f3=ScaledL1Term(f3_weight), shape=(d,))
+
+def _sandwich_margins(problem, params, s, env):
+    """Normalized slack of the two envelope-vs-objective inequalities at s."""
+    l1, l2 = problem.f1.lipschitz, problem.f2.lipschitz
+    d12 = (s.x1 - s.x2).norm() ** 2
+    upper = min(
+        evaluate_objective(problem, s.x1) + 0.5 * (l2 + 1.0 / params.gamma2) * d12,
+        evaluate_objective(problem, s.x2) + 0.5 * (l1 + 1.0 / params.gamma1) * d12,
+    )
+    g = params.gamma
+    lower = (
+        evaluate_objective(problem, s.x3)
+        + (params.alpha - g * l1) / (2.0 * g) * (s.x3 - s.x1).norm() ** 2
+        + ((1.0 - params.alpha) - g * l2) / (2.0 * g) * (s.x3 - s.x2).norm() ** 2
+    )
+    return (upper - env) / (1.0 + abs(upper)), (env - lower) / (1.0 + abs(lower))
+
+
+def step_margins(problem, params, M, state, steps):
+    """Run `steps` iterations from `state` and return the worst margins seen.
+
+    Returns (min descent slack, min upper sandwich margin, min lower sandwich
+    margin, max identity residual):
+    - descent slack: env drop - M (||dz1||^2 + ||dz2||^2) + 1e-9 (1 + |env|),
+      per step; nonnegative means sufficient descent;
+    - sandwich margins: (upper - env)/(1 + |upper|) and
+      (env - lower)/(1 + |lower|) at every iterate, the first included;
+    - identity residual: |lhs - rhs| / (1 + |lhs|) of both displacement
+      identities, per step.
+    """
+    s = state
+    env = state_envelope(problem, params, s)
+    min_slack = math.inf
+    min_up, min_low = _sandwich_margins(problem, params, s, env)
+    max_ident = 0.0
+    for _ in range(steps):
+        nxt = ryu_step(problem, params, s)
+        env_next = state_envelope(problem, params, nxt)
+        drop = env - env_next
+        need = M * ((nxt.z1 - s.z1).norm() ** 2 + (nxt.z2 - s.z2).norm() ** 2)
+        min_slack = min(min_slack, drop - need + 1e-9 * (1.0 + abs(env)))
+        up, low = _sandwich_margins(problem, params, nxt, env_next)
+        min_up, min_low = min(min_up, up), min(min_low, low)
+        lhs1, rhs1, lhs2, rhs2 = identity_check(problem, params, s, nxt)
+        max_ident = max(
+            max_ident,
+            abs(lhs1 - rhs1) / (1.0 + abs(lhs1)),
+            abs(lhs2 - rhs2) / (1.0 + abs(lhs2)),
+        )
+        s, env = nxt, env_next
+    return min_slack, min_up, min_low, max_ident
+
+
+def envelope_form_gaps(problem, params, rng, probes, scale):
+    """Worst relative gaps of the min-form envelope to its other two forms.
+
+    Probes `probes` points (z1, z2) with entries scale * N(0, 1) and returns
+    (max |min-form - Moreau form|, max |min-form - Lagrangian|), each
+    divided by 1 + |min-form|.
+    """
+    worst_moreau = worst_lagr = 0.0
+    for _ in range(probes):
+        z1 = RealVector(scale * rng.standard_normal(problem.dim), problem.shape)
+        z2 = RealVector(scale * rng.standard_normal(problem.dim), problem.shape)
+        val, _ = ryu_envelope(problem, params, z1, z2)
+        other = ryu_envelope_moreau(problem, params, z1, z2)
+        worst_moreau = max(worst_moreau, abs(val - other) / (1.0 + abs(val)))
+        s = make_state(problem, params, z1, z2)
+        mu1 = (s.x1 - s.z1) / params.gamma
+        mu2 = (params.alpha * (s.x2 - s.x1) - s.z2) / params.gamma
+        lag = lagrangian_value(
+            problem, 1.0 / params.gamma1, 1.0 / params.gamma2, s.x1, s.x2, s.x3, mu1, mu2
+        )
+        worst_lagr = max(worst_lagr, abs(val - lag) / (1.0 + abs(val)))
+    return worst_moreau, worst_lagr
+
+
+def scalar_mcp_prox_error(rng, probes):
+    """Max |firm threshold - 1-D brute force| over `probes` random (w, tau, gamma, v)."""
+    worst = 0.0
+    for _ in range(probes):
+        w = float(rng.uniform(0.1, 3.0))
+        tau = float(rng.uniform(0.5, 5.0))
+        gamma = float(rng.uniform(0.01, 1.0))
+        if gamma * w >= tau:
+            gamma = 0.5 * tau / w
+        v = float(rng.uniform(-6.0, 6.0))
+        lo, hi = default_prox_bracket(v, gamma * w)
+        ref = brute_force_prox_1d(
+            lambda t: gamma * w * mcp_value(t, tau) + 0.5 * (t - v) ** 2, lo, hi
+        )
+        worst = max(worst, abs(prox_scalar_mcp(w, tau, gamma, v) - ref))
+    return worst
+
+
+def nonneg_prox_error(rng, probes):
+    """Max |nonnegativity-distance prox - 1-D brute force| over `probes` random (w, gamma, v)."""
+    worst = 0.0
+    for _ in range(probes):
+        w = float(rng.uniform(0.1, 5.0))
+        gamma = float(rng.uniform(0.01, 2.0))
+        v = float(rng.uniform(-6.0, 6.0))
+        got = NonnegDistanceTerm(w).prox(gamma, RealVector([v])).data[0]
+        ref = brute_force_prox_1d(
+            lambda t: gamma * 0.5 * w * np.minimum(t, 0.0) ** 2 + 0.5 * (t - v) ** 2,
+            min(v, 0.0) - 1.0,
+            max(v, 0.0) + 1.0,
+        )
+        worst = max(worst, abs(got - ref))
+    return worst
+
+
+def plan_admissible(sp: StepsizePlan) -> bool:
+    """Whether a plan's epsilons lie in I1 x I2, its four caps are positive,
+    and gamma_ryu lies strictly below every cap and 1/(L1+L2)."""
+    lo1, hi1 = eps1_interval(sp.lam, sp.alpha)
+    caps = min(sp.gbar0, sp.gbar1, sp.gbar2, sp.gbar3)
+    return (
+        caps > 0.0
+        and lo1 < sp.eps1 < hi1
+        and sp.eps2 > eps2_lower(sp.l2, sp.lam, sp.alpha)
+        and 0.0 < sp.gamma_ryu < min(caps, 1.0 / (sp.l1 + sp.l2))
+    )
+
+
+def convex_sanity_errors(d, seed, stop):
+    """Run ryu on convex_l1_problem(d, seed) from a start drawn with seed d.
+
+    Returns (||x3 - x*||, |envelope - F(x*)|) at the final state.
+    """
+    problem, xstar = convex_l1_problem(d=d, seed=seed)
+    lam = 1.0
+    alpha = 0.5 * (alpha_lower_bound(lam) + 1.0)
+    sp = plan(problem.f1.lipschitz, problem.f2.lipschitz, lam, alpha)
+    params = RelaxationParams(sp.gamma_ryu, lam, alpha)
+    rng = np.random.default_rng(d)
+    state, _ = run_ryu(
+        problem,
+        params,
+        RealVector(rng.standard_normal(d)),
+        RealVector(rng.standard_normal(d)),
+        stop,
+    )
+    env = state_envelope(problem, params, state)
+    return (state.x3 - xstar).norm(), abs(env - evaluate_objective(problem, xstar))
+
+
+def gradient_error(problem, rng):
+    """Max central-difference gradient error of f1 and f2 at one N(0, 1) point."""
+    x = RealVector(rng.standard_normal(problem.dim), problem.shape)
+    return max(gradient_check(problem.f1, x), gradient_check(problem.f2, x))
+
+
+def lipschitz_ratio(problem, trials, seed):
+    """Max over f1, f2 of the probed gradient ratio / (modulus (1 + 1e-12)); above 1 is a violation."""
+    return max(
+        lipschitz_probe(t, trials=trials, seed=seed, shape=problem.shape)
+        / (t.lipschitz * (1.0 + 1e-12))
+        for t in (problem.f1, problem.f2)
+    )
+
+
+# ---------------------------------------------------------------------------
+# The `trisplit check` suite
+# ---------------------------------------------------------------------------
 
 
 def check_gradient_oracles():
-    p = _small_bench_problem()
-    rng = np.random.default_rng(0)
-    x = RealVector(rng.standard_normal(p.dim), p.shape)
-    for name, term in (("f1", p.f1), ("f2", p.f2)):
-        err = gradient_check(term, x)
-        assert err <= 1e-6, f"{name} gradient check failed: {err}"
+    err = gradient_error(_small_bench_problem(), np.random.default_rng(0))
+    assert err <= 1e-6, f"gradient check failed: {err}"
 
 
 def check_lipschitz_bounds():
-    p = _small_bench_problem()
-    for name, term in (("f1", p.f1), ("f2", p.f2)):
-        ratio = lipschitz_probe(term, trials=50, seed=1, shape=p.shape)
-        bound = term.lipschitz * (1 + 1e-12)
-        assert ratio <= bound, f"{name} gradient ratio {ratio} above modulus {term.lipschitz}"
+    ratio = lipschitz_ratio(_small_bench_problem(), trials=50, seed=1)
+    assert ratio <= 1.0, f"gradient ratio {ratio} times the stated modulus"
 
 
 def check_prox_oracles():
     rng = np.random.default_rng(2)
-    for _ in range(60):
-        w, tau, gamma = rng.uniform(0.1, 3.0), rng.uniform(0.5, 5.0), rng.uniform(0.01, 1.0)
-        if gamma * w >= tau:
-            gamma = 0.5 * tau / w
-        v = rng.uniform(-6.0, 6.0)
-        lo, hi = default_prox_bracket(v, gamma * w)
-        ref = brute_force_prox_1d(
-            lambda t: gamma * w * mcp_value(t, tau) + 0.5 * (t - v) ** 2, lo, hi, 1000
-        )
-        got = prox_scalar_mcp(w, tau, gamma, v)
-        assert abs(got - ref) <= 1e-6, f"scalar MCP prox off: {got} vs {ref}"
-    p = _small_bench_problem()
-    gamma = 0.07
-    v = float(rng.uniform(-3, 3))
-    lo, hi = default_prox_bracket(v, gamma * p.f1.weight)
-    ref = brute_force_prox_1d(
-        lambda t: gamma * 0.5 * p.f1.weight * np.minimum(t, 0.0) ** 2 + 0.5 * (t - v) ** 2,
-        lo,
-        hi,
-        1000,
-    )
-    got = p.f1.prox(gamma, RealVector([v] * p.dim, p.shape)).data[0]
-    assert abs(got - ref) <= 1e-6, f"nonneg-distance prox off: {got} vs {ref}"
+    err = scalar_mcp_prox_error(rng, 60)
+    assert err <= 1e-6, f"scalar MCP prox off by {err}"
+    err = nonneg_prox_error(rng, 60)
+    assert err <= 1e-6, f"nonneg-distance prox off by {err}"
 
 
 def check_spectral_prox():
@@ -115,10 +300,7 @@ def check_spectral_prox():
 
 def check_planner():
     sp = plan(10.0, 1.0, 1.0, 0.99)
-    assert sp.gamma_ryu > 0 and sp.gamma_ryu < 1.0 / 11.0
-    assert min(sp.gbar0, sp.gbar1, sp.gbar2, sp.gbar3) > 0
-    lo, hi = eps1_interval(sp.lam, sp.alpha)
-    assert lo < sp.eps1 < hi and sp.eps2 > eps2_lower(1.0, sp.lam, sp.alpha)
+    assert plan_admissible(sp), f"plan not admissible: {sp}"
     dc = descent_constants(
         10.0, 1.0, RelaxationParams(sp.gamma_ryu, sp.lam, sp.alpha), sp.eps1, sp.eps2
     )
@@ -132,75 +314,46 @@ def check_planner():
             continue
         alpha = rng.uniform(lo_a, 1 - 1e-3)
         sp2 = plan(rng.uniform(0.5, 10), rng.uniform(0.5, 10), lam, alpha)
-        assert min(sp2.gbar0, sp2.gbar1, sp2.gbar2, sp2.gbar3) > 0
-        assert sp2.gamma_ryu > 0
+        assert plan_admissible(sp2), f"plan not admissible: {sp2}"
+
+
+def _quadratic_margins(seed, d, alpha, steps):
+    """step_margins on make_quadratic_problem(d) at the planned stepsize, lam = 1."""
+    rng = np.random.default_rng(seed)
+    p = make_quadratic_problem(rng, d=d)
+    l1, l2 = p.f1.lipschitz, p.f2.lipschitz
+    sp = plan(l1, l2, 1.0, alpha)
+    params = RelaxationParams(sp.gamma_ryu, 1.0, alpha)
+    m_const = descent_constants(l1, l2, params, sp.eps1, sp.eps2).M
+    assert m_const > 0, f"descent constant M = {m_const}"
+    s = make_state(p, params, RealVector(rng.standard_normal(d)), RealVector(rng.standard_normal(d)))
+    return step_margins(p, params, m_const, s, steps)
 
 
 def check_identities():
-    rng = np.random.default_rng(5)
-    p = _random_quadratic_problem(rng)
-    sp = plan(p.f1.lipschitz, p.f2.lipschitz, 1.0, 0.9)
-    params = RelaxationParams(sp.gamma_ryu, 1.0, 0.9)
-    s = make_state(p, params, RealVector(rng.standard_normal(p.dim)), RealVector(rng.standard_normal(p.dim)))
-    for _ in range(50):
-        nxt = ryu_step(p, params, s)
-        lhs1, rhs1, lhs2, rhs2 = identity_check(p, params, s, nxt)
-        assert abs(lhs1 - rhs1) <= 1e-10 * (1 + abs(lhs1)), "first displacement identity failed"
-        assert abs(lhs2 - rhs2) <= 1e-10 * (1 + abs(lhs2)), "second displacement identity failed"
-        s = nxt
+    *_, ident = _quadratic_margins(5, 8, 0.9, 50)
+    assert ident <= 1e-10, f"displacement identity residual {ident}"
 
 
 def check_envelope_consistency():
     rng = np.random.default_rng(6)
-    for p in (_random_quadratic_problem(rng), _small_bench_problem()):
+    for p in (make_quadratic_problem(rng), _small_bench_problem()):
         L = p.f1.lipschitz + p.f2.lipschitz
-        params = RelaxationParams(0.5 / L, 1.0, 0.9)
-        for _ in range(20):
-            z1 = RealVector(rng.standard_normal(p.dim), p.shape)
-            z2 = RealVector(rng.standard_normal(p.dim), p.shape)
-            val, x3 = ryu_envelope(p, params, z1, z2)
-            other = ryu_envelope_moreau(p, params, z1, z2)
-            assert abs(val - other) <= 1e-8 * (1 + abs(val)), "envelope forms disagree"
-            s = make_state(p, params, z1, z2)
-            mu1 = (s.x1 - s.z1) / params.gamma
-            mu2 = (params.alpha * (s.x2 - s.x1) - s.z2) / params.gamma
-            lag = lagrangian_value(
-                p, 1 / params.gamma1, 1 / params.gamma2, s.x1, s.x2, s.x3, mu1, mu2
-            )
-            assert abs(val - lag) <= 1e-10 * (1 + abs(val)), "envelope != Lagrangian"
+        moreau, lagr = envelope_form_gaps(p, RelaxationParams(0.5 / L, 1.0, 0.9), rng, 20, 1.0)
+        assert moreau <= 1e-8, f"envelope forms disagree by {moreau}"
+        assert lagr <= 1e-10, f"envelope and Lagrangian disagree by {lagr}"
 
 
 def check_descent():
-    rng = np.random.default_rng(7)
-    p = _random_quadratic_problem(rng, d=20)
-    lam = 1.0
-    alpha = 0.5 * (alpha_lower_bound(lam) + 1.0)
-    sp = plan(p.f1.lipschitz, p.f2.lipschitz, lam, alpha)
-    params = RelaxationParams(sp.gamma_ryu, lam, alpha)
-    m_const = descent_constants(p.f1.lipschitz, p.f2.lipschitz, params, sp.eps1, sp.eps2).M
-    assert m_const > 0
-    s = make_state(p, params, RealVector(rng.standard_normal(p.dim)), RealVector(rng.standard_normal(p.dim)))
-    env = state_envelope(p, params, s)
-    for _ in range(300):
-        nxt = ryu_step(p, params, s)
-        env_next = state_envelope(p, params, nxt)
-        drop = env - env_next
-        need = m_const * ((nxt.z1 - s.z1).norm() ** 2 + (nxt.z2 - s.z2).norm() ** 2)
-        assert drop >= need - 1e-9 * (1 + abs(env)), f"descent violated: {drop} < {need}"
-        s, env = nxt, env_next
+    slack, up, low, _ = _quadratic_margins(7, 20, 0.5 * (alpha_lower_bound(1.0) + 1.0), 300)
+    assert slack >= 0.0, f"descent violated: min slack {slack}"
+    assert up >= -1e-9 and low >= -1e-9, f"envelope outside its bounds: margins {up}, {low}"
 
 
 def check_convex_sanity():
-    f1 = QuadraticTerm(np.eye(1), np.zeros(1))
-    f2 = QuadraticTerm(np.eye(1), np.zeros(1))
-    p = CompositeProblem(f1=f1, f2=f2, f3=ScaledL1Term(1.0), shape=(1,))
-    lam = 1.0
-    alpha = 0.5 * (alpha_lower_bound(lam) + 1.0)
-    sp = plan(1.0, 1.0, lam, alpha)
-    params = RelaxationParams(sp.gamma_ryu, lam, alpha)
-    stop = StoppingRule(tol=1e-9, max_iter=5000)
-    state, _ = run_ryu(p, params, RealVector([3.0]), RealVector([-2.0]), stop)
-    assert abs(state.x3.data[0]) <= 1e-6, f"expected minimizer 0, got {state.x3.data[0]}"
+    x_err, env_err = convex_sanity_errors(1, 5, StoppingRule(tol=1e-9, max_iter=5000))
+    assert x_err <= 1e-6, f"minimizer error {x_err}"
+    assert env_err <= 1e-6, f"envelope-vs-minimum error {env_err}"
 
 
 def check_dys_transcription():

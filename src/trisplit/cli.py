@@ -13,6 +13,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .bench import (
     ALGOS,
     DEFAULT_SIZES,
@@ -180,7 +182,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return args.func(args)
+        # numpy's floating-point warnings on extreme input would print ahead
+        # of the error line below; non-finite results raise errors anyway.
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (InputError, PlanInfeasibleError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

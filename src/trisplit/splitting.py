@@ -37,6 +37,7 @@ from .core import (
     RealVector,
     SmoothTerm,
 )
+from .stepsize import _validate_moduli
 
 __all__ = [
     "EnvelopeUndefinedError",
@@ -152,10 +153,10 @@ class StoppingRule:
     max_iter: int = 20000
 
     def __post_init__(self):
-        if not self.prox_gamma > 0:
-            raise InputError("prox_gamma must be positive")
-        if not self.tol > 0:
-            raise InputError("tol must be positive")
+        if not 0 < self.prox_gamma < math.inf:
+            raise InputError(f"prox_gamma must be positive and finite, got {self.prox_gamma}")
+        if not 0 < self.tol < math.inf:
+            raise InputError(f"tol must be positive and finite, got {self.tol}")
         if self.max_iter < 1:
             raise InputError("max_iter must be >= 1")
 
@@ -211,6 +212,13 @@ def ryu_step(p: CompositeProblem, params: RelaxationParams, s: SplitState) -> Sp
     return make_state(p, params, s.z1.with_data(z1), s.z2.with_data(z2), k=s.k + 1)
 
 
+def _require_envelope(params: RelaxationParams) -> None:
+    if params.alpha >= 1.0:
+        raise EnvelopeUndefinedError(
+            "envelope undefined at alpha = 1 (second proximal weight gamma/(1-alpha) is infinite)"
+        )
+
+
 def _linearization_gap(
     x: RealVector, anchor: RealVector, grad: RealVector, weight: float
 ) -> float:
@@ -232,10 +240,7 @@ def ryu_envelope(
     minimizer is a prox point of f3. Requires alpha < 1; the stepsize must
     keep gamma f3 prox-bounded (gamma < 1/(L1+L2) always suffices).
     """
-    if params.alpha >= 1.0:
-        raise EnvelopeUndefinedError(
-            "envelope undefined at alpha = 1 (second proximal weight gamma/(1-alpha) is infinite)"
-        )
+    _require_envelope(params)
     p.check_shape(z1, "z1")
     p.check_shape(z2, "z2")
     gamma, alpha = params.gamma, params.alpha
@@ -267,10 +272,7 @@ def ryu_envelope_moreau(
     complete the square in the min-form and what is left of the quadratic is
     exactly the Moreau envelope of f3 at w.
     """
-    if params.alpha >= 1.0:
-        raise EnvelopeUndefinedError(
-            "envelope undefined at alpha = 1 (second proximal weight gamma/(1-alpha) is infinite)"
-        )
+    _require_envelope(params)
     gamma, alpha = params.gamma, params.alpha
     x1 = smooth_prox(p.f1, gamma, z1)
     x2 = smooth_prox(p.f2, gamma / alpha, z2 / alpha + x1)
@@ -297,10 +299,7 @@ def state_envelope(p: CompositeProblem, params: RelaxationParams, s: SplitState)
     The state's x3 already minimizes the envelope subproblem for its own
     (z1, z2), so no extra prox evaluation is needed.
     """
-    if params.alpha >= 1.0:
-        raise EnvelopeUndefinedError(
-            "envelope undefined at alpha = 1 (second proximal weight gamma/(1-alpha) is infinite)"
-        )
+    _require_envelope(params)
     g1 = p.f1.grad(s.x1)
     g2 = p.f2.grad(s.x2)
     return (
@@ -342,8 +341,9 @@ def descent_constants(
     Signs are reported, not enforced: C0, C1 >= 0 and C2, C3 > 0 hold exactly
     when gamma lies in the admissible interval for (eps1, eps2).
     """
-    if min(L1, L2, eps1, eps2) <= 0:
-        raise InputError("L1, L2, eps1, eps2 must be positive")
+    _validate_moduli(L1, L2)
+    if not (eps1 > 0 and eps2 > 0):
+        raise InputError("eps1 and eps2 must be positive")
     if params.alpha >= 1.0:
         raise EnvelopeUndefinedError("descent constants require alpha < 1")
     g, lam, a = params.gamma, params.lam, params.alpha

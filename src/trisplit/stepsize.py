@@ -50,6 +50,11 @@ def alpha_lower_bound(lam: float) -> float:
     return (2.0 * lam - 3.0 + math.sqrt(9.0 - 4.0 * lam)) / 2.0
 
 
+def _validate_moduli(L1: float, L2: float) -> None:
+    if not (0 < L1 < math.inf and 0 < L2 < math.inf):
+        raise InputError(f"L1 and L2 must be positive and finite, got L1={L1}, L2={L2}")
+
+
 def _validate_lam_alpha(lam: float, alpha: float) -> None:
     if not 0 < lam < 2:
         raise InputError(f"lam must lie in (0, 2), got {lam}")
@@ -73,9 +78,8 @@ def gamma_bounds(
     L1: float, L2: float, lam: float, alpha: float, eps1: float, eps2: float
 ) -> tuple[float, float, float, float]:
     """The four stepsize caps (gbar0, gbar1, gbar2, gbar3) for given epsilons."""
-    if min(L1, L2) <= 0:
-        raise InputError("L1 and L2 must be positive")
-    if min(eps1, eps2) <= 0:
+    _validate_moduli(L1, L2)
+    if not (eps1 > 0 and eps2 > 0):
         raise InputError("eps1 and eps2 must be positive")
     _validate_lam_alpha(lam, alpha)
     g0 = lam / (2.0 * L1)
@@ -133,8 +137,7 @@ def optimize_epsilons(L1: float, L2: float, lam: float, alpha: float) -> tuple[f
     Without a sign change the I1 endpoints (inset by 1e-6 relative) are both
     evaluated and the better one wins.
     """
-    if min(L1, L2) <= 0:
-        raise InputError("L1 and L2 must be positive")
+    _validate_moduli(L1, L2)
     lo, hi = eps1_interval(lam, alpha)
     if not lo < hi:
         raise PlanInfeasibleError(f"empty eps1 interval for lam={lam}, alpha={alpha}")

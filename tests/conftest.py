@@ -1,37 +1,10 @@
-"""Shared fixtures: small random composite problems and a tiny completion instance."""
+"""Shared fixtures (a seeded generator, a tiny completion instance) and the test order.
+
+The problem builders live in `trisplit.checks`."""
 import numpy as np
 import pytest
 
-from trisplit import (
-    CompositeProblem,
-    QuadraticTerm,
-    ScaledL1Term,
-    SeparableMCPTerm,
-    generate_instance,
-)
-
-
-def random_psd(rng, d, lmax):
-    """Symmetric PSD matrix with largest eigenvalue exactly lmax."""
-    q = rng.standard_normal((d, d))
-    a = q.T @ q
-    eigs = np.linalg.eigvalsh(a)
-    return a * (lmax / eigs[-1])
-
-
-def make_quadratic_problem(rng, d=8, l1=None, l2=None, f3="l1", f3_weight=0.3):
-    """Two random quadratics plus a separable nonsmooth term, as a test triple."""
-    l1 = l1 if l1 is not None else float(rng.uniform(0.5, 10.0))
-    l2 = l2 if l2 is not None else float(rng.uniform(0.5, 10.0))
-    f1 = QuadraticTerm(matrix=random_psd(rng, d, l1), center=rng.standard_normal(d))
-    f2 = QuadraticTerm(matrix=random_psd(rng, d, l2), center=rng.standard_normal(d))
-    if f3 == "l1":
-        t3 = ScaledL1Term(weight=f3_weight)
-    elif f3 == "mcp":
-        t3 = SeparableMCPTerm(weight=f3_weight, tau=2.0)
-    else:
-        raise ValueError(f3)
-    return CompositeProblem(f1=f1, f2=f2, f3=t3, shape=(d,))
+from trisplit import generate_instance
 
 
 @pytest.fixture

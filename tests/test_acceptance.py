@@ -5,6 +5,10 @@ Each test records its verdict in ACCEPTANCE_RESULTS *before* asserting, so
 the terminal summary (see conftest.pytest_terminal_summary) always prints one
 PASS/FAIL line per criterion with the measured numbers, red or green.
 
+Criteria 1-6, 9 and 10 take their measurements from `trisplit.checks`, the
+functions behind `trisplit check`; the sizes, seeds, tolerances and time
+budgets are this module's own.
+
 Criterion 8 is expected to fail; its docstring explains why the failure is a
 property of the configured stopping rule rather than an implementation bug.
 The criterion is asserted at its stated tolerances anyway.
@@ -17,44 +21,22 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from tests.conftest import make_quadratic_problem
-from tests.test_splitting import convex_l1_problem
 from trisplit.bench import build_problem, generate_instance, run_benchmark
-from trisplit.core import (
-    RealVector,
-    evaluate_objective,
-    gradient_check,
-    lipschitz_probe,
+from trisplit.checks import (
+    convex_sanity_errors,
+    envelope_form_gaps,
+    gradient_error,
+    lipschitz_ratio,
+    make_quadratic_problem,
+    nonneg_prox_error,
+    plan_admissible,
+    scalar_mcp_prox_error,
+    step_margins,
 )
-from trisplit.proxlib import (
-    MaskedQuadraticTerm,
-    NonnegDistanceTerm,
-    ScaledL1Term,
-    brute_force_prox_1d,
-    default_prox_bracket,
-    mcp_value,
-    prox_scalar_mcp,
-)
-from trisplit.splitting import (
-    RelaxationParams,
-    StoppingRule,
-    descent_constants,
-    identity_check,
-    lagrangian_value,
-    make_state,
-    run_ryu,
-    ryu_envelope,
-    ryu_envelope_moreau,
-    ryu_step,
-    state_envelope,
-)
-from trisplit.stepsize import (
-    alpha_lower_bound,
-    eps1_interval,
-    eps2_lower,
-    gamma_bounds,
-    plan,
-)
+from trisplit.core import RealVector
+from trisplit.proxlib import MaskedQuadraticTerm, NonnegDistanceTerm, ScaledL1Term, brute_force_prox_1d
+from trisplit.splitting import RelaxationParams, StoppingRule, descent_constants, make_state
+from trisplit.stepsize import alpha_lower_bound, eps1_interval, eps2_lower, gamma_bounds, plan
 
 # criterion number -> (passed, one-line detail); consumed by the terminal summary
 ACCEPTANCE_RESULTS: dict[int, tuple[bool, str]] = {}
@@ -75,30 +57,11 @@ def record(num: int, ok: bool, detail: str) -> None:
 class QuadraticRun:
     problem: object
     params: RelaxationParams
-    eps1: float
-    eps2: float
     M: float
-    min_descent_slack: float  # min over steps of drop - M*||dz||^2 + slack term
-    min_upper_margin: float  # min over iterates of (upper bound - env) / (1 + |ub|)
-    min_lower_margin: float  # min over iterates of (env - lower bound) / (1 + |lb|)
-    max_identity_rel: float  # max over steps of |lhs - rhs| / (1 + |lhs|)
-
-
-def _sandwich_margins(problem, params, s, env):
-    """Normalized slack of the two envelope-vs-objective inequalities at s."""
-    l1, l2 = problem.f1.lipschitz, problem.f2.lipschitz
-    d12 = (s.x1 - s.x2).norm() ** 2
-    upper = min(
-        evaluate_objective(problem, s.x1) + 0.5 * (l2 + 1.0 / params.gamma2) * d12,
-        evaluate_objective(problem, s.x2) + 0.5 * (l1 + 1.0 / params.gamma1) * d12,
-    )
-    g = params.gamma
-    lower = (
-        evaluate_objective(problem, s.x3)
-        + (params.alpha - g * l1) / (2.0 * g) * (s.x3 - s.x1).norm() ** 2
-        + ((1.0 - params.alpha) - g * l2) / (2.0 * g) * (s.x3 - s.x2).norm() ** 2
-    )
-    return (upper - env) / (1.0 + abs(upper)), (env - lower) / (1.0 + abs(lower))
+    min_descent_slack: float  # see checks.step_margins for the four margins
+    min_upper_margin: float
+    min_lower_margin: float
+    max_identity_rel: float
 
 
 @pytest.fixture(scope="module")
@@ -123,32 +86,8 @@ def quadratic_runs():
             RealVector(3.0 * rng.standard_normal(problem.dim)),
             RealVector(3.0 * rng.standard_normal(problem.dim)),
         )
-        env = state_envelope(problem, params, s)
-        min_slack = math.inf
-        min_up, min_low = _sandwich_margins(problem, params, s, env)
-        max_ident = 0.0
-        for _ in range(1000):
-            nxt = ryu_step(problem, params, s)
-            env_next = state_envelope(problem, params, nxt)
-            drop = env - env_next
-            need = m_const * (
-                (nxt.z1 - s.z1).norm() ** 2 + (nxt.z2 - s.z2).norm() ** 2
-            )
-            min_slack = min(min_slack, drop - need + 1e-9 * (1.0 + abs(env)))
-            up, low = _sandwich_margins(problem, params, nxt, env_next)
-            min_up, min_low = min(min_up, up), min(min_low, low)
-            lhs1, rhs1, lhs2, rhs2 = identity_check(problem, params, s, nxt)
-            max_ident = max(
-                max_ident,
-                abs(lhs1 - rhs1) / (1.0 + abs(lhs1)),
-                abs(lhs2 - rhs2) / (1.0 + abs(lhs2)),
-            )
-            s, env = nxt, env_next
         runs.append(
-            QuadraticRun(
-                problem, params, sp.eps1, sp.eps2, m_const,
-                min_slack, min_up, min_low, max_ident,
-            )
+            QuadraticRun(problem, params, m_const, *step_margins(problem, params, m_const, s, 1000))
         )
     return runs, time.perf_counter() - t0
 
@@ -194,23 +133,8 @@ def test_criterion_04_envelope_consistency(quadratic_runs):
     worst_moreau = worst_lagr = 0.0
     t0 = time.perf_counter()
     for r in runs:
-        d = r.problem.dim
-        for _ in range(100):
-            z1 = RealVector(2.0 * rng.standard_normal(d))
-            z2 = RealVector(2.0 * rng.standard_normal(d))
-            val, _ = ryu_envelope(r.problem, r.params, z1, z2)
-            other = ryu_envelope_moreau(r.problem, r.params, z1, z2)
-            worst_moreau = max(worst_moreau, abs(val - other) / (1.0 + abs(val)))
-            s = make_state(r.problem, r.params, z1, z2)
-            mu1 = (s.x1 - s.z1) / r.params.gamma
-            mu2 = (r.params.alpha * (s.x2 - s.x1) - s.z2) / r.params.gamma
-            lag = lagrangian_value(
-                r.problem,
-                1.0 / r.params.gamma1,
-                1.0 / r.params.gamma2,
-                s.x1, s.x2, s.x3, mu1, mu2,
-            )
-            worst_lagr = max(worst_lagr, abs(val - lag) / (1.0 + abs(val)))
+        moreau, lagr = envelope_form_gaps(r.problem, r.params, rng, 100, 2.0)
+        worst_moreau, worst_lagr = max(worst_moreau, moreau), max(worst_lagr, lagr)
     elapsed = time.perf_counter() - t0
     ok = worst_moreau <= 1e-8 and worst_lagr <= 1e-10 and elapsed < 10.0
     record(
@@ -225,33 +149,8 @@ def test_criterion_05_prox_oracles():
     """Closed-form proxes match 1-D brute force; convex proxes are nonexpansive."""
     rng = np.random.default_rng(7)
     t0 = time.perf_counter()
-    worst = 0.0
-    # scalar MCP prox (firm threshold), 1000 probes
-    for _ in range(1000):
-        w = float(rng.uniform(0.1, 3.0))
-        tau = float(rng.uniform(0.5, 5.0))
-        gamma = float(rng.uniform(0.01, 1.0))
-        if gamma * w >= tau:
-            gamma = 0.5 * tau / w
-        v = float(rng.uniform(-6.0, 6.0))
-        lo, hi = default_prox_bracket(v, gamma * w)
-        ref = brute_force_prox_1d(
-            lambda t: gamma * w * mcp_value(t, tau) + 0.5 * (t - v) ** 2, lo, hi
-        )
-        worst = max(worst, abs(prox_scalar_mcp(w, tau, gamma, v) - ref))
-    # nonnegativity-distance prox, 1000 probes
-    for _ in range(1000):
-        w = float(rng.uniform(0.1, 5.0))
-        gamma = float(rng.uniform(0.01, 2.0))
-        v = float(rng.uniform(-6.0, 6.0))
-        term = NonnegDistanceTerm(w)
-        got = term.prox(gamma, RealVector([v])).data[0]
-        ref = brute_force_prox_1d(
-            lambda t: gamma * 0.5 * w * np.minimum(t, 0.0) ** 2 + 0.5 * (t - v) ** 2,
-            min(v, 0.0) - 1.0,
-            max(v, 0.0) + 1.0,
-        )
-        worst = max(worst, abs(got - ref))
+    # scalar MCP prox (firm threshold) and nonnegativity-distance prox, 1000 probes each
+    worst = max(scalar_mcp_prox_error(rng, 1000), nonneg_prox_error(rng, 1000))
     # masked-quadratic prox, componentwise: 1000 probes (600 observed, 400 not)
     targets = rng.uniform(-3.0, 3.0, 1000)
     mask = np.zeros(1000, dtype=bool)
@@ -311,16 +210,7 @@ def test_criterion_06_stepsize_planner():
         l1 = float(rng.uniform(0.5, 10.0))
         l2 = float(rng.uniform(0.5, 10.0))
         sp = plan(l1, l2, lam, alpha)
-        lo1, hi1 = eps1_interval(lam, alpha)
-        good = (
-            min(sp.gbar0, sp.gbar1, sp.gbar2, sp.gbar3) > 0.0
-            and lo1 < sp.eps1 < hi1
-            and sp.eps2 > eps2_lower(l2, lam, alpha)
-            and 0.0
-            < sp.gamma_ryu
-            < min(sp.gbar0, sp.gbar1, sp.gbar2, sp.gbar3, 1.0 / (l1 + l2))
-        )
-        admissible += good
+        admissible += plan_admissible(sp)
         if i < 20:
             spots.append((lam, alpha, l1, l2, sp))
     # grid oracle on 20 spot checks: planner epsilons reach >= 99% of the
@@ -435,22 +325,8 @@ def test_criterion_09_convex_sanity():
     the known minimum."""
     worst_x = worst_env = 0.0
     for d, seed in ((1, 5), (5, 9)):
-        problem, xstar = convex_l1_problem(d=d, seed=seed)
-        lam = 1.0
-        alpha = 0.5 * (alpha_lower_bound(lam) + 1.0)
-        sp = plan(problem.f1.lipschitz, problem.f2.lipschitz, lam, alpha)
-        params = RelaxationParams(sp.gamma_ryu, lam, alpha)
-        rng = np.random.default_rng(d)
-        state, _ = run_ryu(
-            problem,
-            params,
-            RealVector(rng.standard_normal(d)),
-            RealVector(rng.standard_normal(d)),
-            StoppingRule(tol=1e-10, max_iter=50_000),
-        )
-        worst_x = max(worst_x, (state.x3 - xstar).norm())
-        env = state_envelope(problem, params, state)
-        worst_env = max(worst_env, abs(env - evaluate_objective(problem, xstar)))
+        x_err, env_err = convex_sanity_errors(d, seed, StoppingRule(tol=1e-10, max_iter=50_000))
+        worst_x, worst_env = max(worst_x, x_err), max(worst_env, env_err)
     ok = worst_x <= 1e-6 and worst_env <= 1e-6
     record(
         9,
@@ -469,15 +345,8 @@ def test_criterion_10_gradient_and_lipschitz_oracles():
     noise) while the oracles themselves are scale-free and exact.
     """
     problem = build_problem(generate_instance(20, 20, 10, 40, seed=0))
-    rng = np.random.default_rng(13)
-    x = RealVector(rng.standard_normal(problem.dim), problem.shape)
-    worst_grad = max(
-        gradient_check(problem.f1, x), gradient_check(problem.f2, x)
-    )
-    worst_head = 0.0
-    for term in (problem.f1, problem.f2):
-        ratio = lipschitz_probe(term, trials=200, seed=3, shape=problem.shape)
-        worst_head = max(worst_head, ratio / (term.lipschitz * (1.0 + 1e-12)))
+    worst_grad = gradient_error(problem, np.random.default_rng(13))
+    worst_head = lipschitz_ratio(problem, trials=200, seed=3)
     ok = worst_grad <= 1e-6 and worst_head <= 1.0
     record(
         10,

@@ -3,7 +3,6 @@ import numpy.testing as npt
 import pytest
 
 import trisplit.baselines as baselines
-from tests.conftest import make_quadratic_problem
 from trisplit import (
     CompositeProblem,
     DivergenceError,
@@ -16,7 +15,7 @@ from trisplit import (
     dys_step,
     run_dys,
 )
-from tests.test_splitting import convex_l1_problem
+from trisplit.checks import convex_l1_problem, make_quadratic_problem
 
 
 class TestDysParams:

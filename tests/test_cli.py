@@ -1,7 +1,7 @@
 """Tests for the trisplit command-line interface.
 
-These call cli.main(argv) in-process (fast, capsys-friendly) plus one
-subprocess test for the installed console script.
+These call cli.main(argv) in-process (fast, capsys-friendly), and run the
+module in a subprocess where stderr must be seen as a user sees it.
 """
 
 import argparse
@@ -10,6 +10,7 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -148,8 +149,21 @@ class TestCheckCommand:
         rc = cli.main(["check"])
         assert rc == 0
         lines = capsys.readouterr().out.strip().splitlines()
-        assert len(lines) == 10
-        assert all(line.startswith("PASS ") for line in lines)
+        assert lines == [
+            f"PASS {name}"
+            for name in (
+                "gradient-oracles",
+                "lipschitz-bounds",
+                "prox-oracles",
+                "spectral-prox",
+                "stepsize-planner",
+                "displacement-identities",
+                "envelope-consistency",
+                "sufficient-descent",
+                "convex-sanity",
+                "davis-yin-baseline",
+            )
+        ]
 
     def test_check_failure_exits_1(self, monkeypatch):
         monkeypatch.setattr(cli, "run_all_checks", lambda: False)
@@ -169,6 +183,12 @@ class TestExitCodes:
         rc = cli.main(["solve", "--algo", "ryu", "--n", "12", "--s", "40", "--rank", "3", "--tau", "nan"])
         assert rc == 2
         assert "input error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, name", [("--tol", "tol"), ("--proxgamma", "prox_gamma")])
+    def test_infinite_stopping_parameter_exits_2(self, flag, name, capsys):
+        rc = cli.main(["solve", "--algo", "ryu", "--n", "12", "--s", "40", "--rank", "3", flag, "inf"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"input error: {name} must be positive and finite")
 
     def test_float_arithmetic_error_exits_3(self, capsys):
         # lam * alpha underflows to 0 inside the planner
@@ -240,11 +260,36 @@ class TestArgumentFuzzing:
             assert math.isfinite(obj) and math.isfinite(residual), out
 
 
-def test_console_script_installed():
-    proc = subprocess.run(
-        [sys.executable, "-m", "trisplit.cli", "plan", "--l1", "1", "--l2", "1"],
-        capture_output=True,
-        text=True,
+def run_cli_subprocess(*argv):
+    """Run the CLI in a fresh interpreter, where pytest does not capture warnings."""
+    env = dict(os.environ)
+    env.pop("PYTHONWARNINGS", None)
+    return subprocess.run(
+        [sys.executable, "-m", "trisplit.cli", *argv], capture_output=True, text=True, env=env
     )
+
+
+def test_extreme_input_prints_only_the_error_line():
+    proc = run_cli_subprocess(
+        "solve", "--algo", "dys", "--n", "12", "--s", "40", "--rank", "3",
+        "--proxgamma", "1e308", "--max-iter", "20",
+    )
+    # the exit class of this overflow is not what is tested here, only that
+    # no numpy warning precedes the one error line
+    assert proc.returncode in (2, 3)
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(("input error: ", "numerical failure: ")), proc.stderr
+
+
+def test_stepsize_cap_warning_still_prints():
+    proc = run_cli_subprocess(
+        "solve", "--algo", "ryu", "--n", "12", "--s", "40", "--rank", "3", "--gamma", "1", "--max-iter", "5",
+    )
+    assert proc.returncode == 0
+    assert "RuntimeWarning: stepsize 1 exceeds" in proc.stderr
+
+
+def test_console_script_installed():
+    proc = run_cli_subprocess("plan", "--l1", "1", "--l2", "1")
     assert proc.returncode == 0
     assert "gamma_ryu" in proc.stdout

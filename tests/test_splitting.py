@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trisplit.splitting as splitting
-from tests.conftest import make_quadratic_problem
 from trisplit import (
     AdaptiveController,
     CallableSmoothTerm,
@@ -39,26 +38,8 @@ from trisplit import (
     write_trace_csv,
     write_trace_json,
 )
+from trisplit.checks import convex_l1_problem, make_quadratic_problem
 from trisplit.splitting import TRACE_COLUMNS, smooth_prox
-
-
-def soft(v, t):
-    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
-
-
-def convex_l1_problem(d, a=1.0, b=2.0, w=0.5, seed=0):
-    """1/2 a||x-p||^2 + 1/2 b||x-q||^2 + w||x||_1 with a closed-form minimizer."""
-    rng = np.random.default_rng(seed)
-    p_ = rng.standard_normal(d) * 2
-    q_ = rng.standard_normal(d) * 2
-    prob = CompositeProblem(
-        f1=QuadraticTerm(matrix=a * np.eye(d), center=p_),
-        f2=QuadraticTerm(matrix=b * np.eye(d), center=q_),
-        f3=ScaledL1Term(weight=w),
-        shape=(d,),
-    )
-    xstar = soft((a * p_ + b * q_) / (a + b), w / (a + b))
-    return prob, RealVector(xstar, (d,))
 
 
 class TestParams:
@@ -85,6 +66,11 @@ class TestParams:
             StoppingRule(tol=-1.0)
         with pytest.raises(InputError):
             StoppingRule(max_iter=0)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(InputError, match="tol"):
+                StoppingRule(tol=bad)
+            with pytest.raises(InputError, match="prox_gamma"):
+                StoppingRule(prox_gamma=bad)
 
 
 class TestStepTranscription:
@@ -263,6 +249,15 @@ class TestIdentitiesAndDescent:
         assert dc.C2 > 0 and dc.C3 > 0
         assert dc.C4 == pytest.approx(min(dc.C2, dc.C3))
         assert dc.M > 0
+
+    @pytest.mark.parametrize(
+        "L1, L2, eps1, eps2",
+        [(math.nan, 1.0, 2.0, 2.0), (1.0, math.inf, 2.0, 2.0), (0.0, 1.0, 2.0, 2.0),
+         (1.0, 1.0, math.nan, 2.0), (1.0, 1.0, 2.0, -1.0)],
+    )
+    def test_descent_constants_reject_bad_moduli_and_epsilons(self, L1, L2, eps1, eps2):
+        with pytest.raises(InputError):
+            descent_constants(L1, L2, RelaxationParams(0.01, 1.0, 0.9), eps1, eps2)
 
     def test_envelope_decreases_with_certified_margin(self, rng):
         prob = make_quadratic_problem(rng, d=6, f3="mcp")

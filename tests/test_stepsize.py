@@ -128,6 +128,18 @@ class TestPlan:
         with pytest.raises(InputError):
             plan(1.0, 1.0, lam=2.0, alpha=0.99)
 
+    @pytest.mark.parametrize("L1, L2", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf), (0.0, 1.0), (1.0, -2.0)])
+    def test_rejects_nan_infinite_and_nonpositive_moduli(self, L1, L2):
+        with pytest.raises(InputError, match="L1 and L2"):
+            plan(L1, L2)
+        with pytest.raises(InputError, match="L1 and L2"):
+            gamma_bounds(L1, L2, 1.0, 0.99, 2.0, 2.0)
+
+    @pytest.mark.parametrize("eps1, eps2", [(math.nan, 2.0), (2.0, math.nan), (0.0, 2.0)])
+    def test_gamma_bounds_rejects_nan_and_nonpositive_epsilons(self, eps1, eps2):
+        with pytest.raises(InputError, match="eps1 and eps2"):
+            gamma_bounds(1.0, 1.0, 1.0, 0.99, eps1, eps2)
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_epsilons_nearly_maximize_min_cap_vs_grid(self, seed):
         rng = np.random.default_rng(seed)
