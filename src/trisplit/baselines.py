@@ -6,9 +6,9 @@ One iteration from the single governing variable z:
     x_g in prox_{gamma g}(2 x_f - z - gamma grad h(x_f))
     z+  = z + lam (x_g - x_f)
 
-with a configurable role assignment of (f1, f2, f3) to (f, g, h). The default
-puts the masked quadratic in the f slot, the nonsmooth spectral term in the
-g slot, and the stiffer smooth term in the gradient slot.
+with f = f2, g = f3 and h = f1: the masked quadratic in the f slot, the
+nonsmooth spectral term in the g slot, and the stiffer smooth term in the
+gradient slot.
 """
 
 from __future__ import annotations
@@ -17,13 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    CompositeProblem,
-    DivergenceError,
-    InputError,
-    ProxTerm,
-    RealVector,
-)
+from .core import CompositeProblem, DivergenceError, InputError, RealVector
 from .splitting import IterRecord, StoppingRule, _iterate, _objective, smooth_prox
 
 __all__ = ["DysParams", "DysState", "dys_step", "run_dys"]
@@ -31,19 +25,16 @@ __all__ = ["DysParams", "DysState", "dys_step", "run_dys"]
 
 @dataclass(frozen=True)
 class DysParams:
-    """Stepsize, relaxation, and the (f, g, h) role assignment by term name."""
+    """Stepsize and relaxation."""
 
     gamma: float
     lam: float = 1.0
-    roles: tuple[str, str, str] = ("f2", "f3", "f1")
 
     def __post_init__(self):
         if not self.gamma > 0:
             raise InputError(f"gamma must be positive, got {self.gamma}")
         if not 0 < self.lam <= 2:
             raise InputError(f"lam must lie in (0, 2], got {self.lam}")
-        if sorted(self.roles) != ["f1", "f2", "f3"]:
-            raise InputError(f"roles must be a permutation of (f1, f2, f3), got {self.roles}")
 
 
 @dataclass(frozen=True)
@@ -55,28 +46,19 @@ class DysState:
     k: int = 0
 
 
-def _resolve_roles(p: CompositeProblem, params: DysParams):
-    f_term, g_term, h_term = (getattr(p, name) for name in params.roles)
-    if isinstance(h_term, ProxTerm):
-        raise InputError("the gradient slot must hold a smooth term")
-    if not params.gamma < 1.0 / h_term.lipschitz:
+def _check_gamma(p: CompositeProblem, params: DysParams) -> None:
+    if not params.gamma < 1.0 / p.f1.lipschitz:
         raise InputError(
-            f"gamma={params.gamma} must be below 1/L={1.0 / h_term.lipschitz} "
-            "of the gradient-handled term"
+            f"gamma={params.gamma} must be below 1/L={1.0 / p.f1.lipschitz} "
+            "of the gradient-handled term f1"
         )
-    return f_term, g_term, h_term
 
 
 def _make_state(p: CompositeProblem, params: DysParams, z: RealVector, k: int) -> DysState:
-    f_term, g_term, h_term = _resolve_roles(p, params)
     gamma = params.gamma
-    x_f = smooth_prox(f_term, gamma, z)
-    anchor = 2.0 * x_f - z - gamma * h_term.grad(x_f)
-    if g_term is p.f3:
-        x_g, f3v = p.f3.prox_with_value(gamma, anchor)
-    else:
-        x_g = smooth_prox(g_term, gamma, anchor)
-        f3v = float(p.f3.value(x_g))
+    x_f = smooth_prox(p.f2, gamma, z)
+    anchor = 2.0 * x_f - z - gamma * p.f1.grad(x_f)
+    x_g, f3v = p.f3.prox_with_value(gamma, anchor)
     return DysState(z=z, x_f=x_f, x_g=x_g, f3_at_xg=f3v, k=k)
 
 
@@ -93,6 +75,7 @@ def dys_step(
 ) -> tuple[RealVector, RealVector, RealVector]:
     """One iteration from z; returns (z_plus, x_f, x_g)."""
     p.check_shape(z, "z")
+    _check_gamma(p, params)
     s = _make_state(p, params, z, k=0)
     return _relax(params, s), s.x_f, s.x_g
 
@@ -112,6 +95,7 @@ def run_dys(
     """
     stop = stop or StoppingRule()
     z = z0 if z0 is not None else p.zeros()
+    _check_gamma(p, params)
 
     def step(s: DysState):
         nxt = _make_state(p, params, _relax(params, s), k=s.k + 1)

@@ -69,11 +69,6 @@ class CompletionInstance:
     target: RealVector
     mask: np.ndarray
 
-    @property
-    def omega(self) -> np.ndarray:
-        """Observed index pairs, one (i, j) row each."""
-        return np.argwhere(self.mask)
-
 
 def generate_instance(
     m: int,
@@ -165,11 +160,7 @@ def run_experiment(
     alpha: float = 0.99,
     gamma: float | None = None,
     gamma_dys: float | None = None,
-    c0: float = 1e3,
-    c1: float = 1e10,
-    shrink: float = 0.5,
     stop: StoppingRule | None = None,
-    envelope: bool | None = None,
 ) -> RunReport:
     """Run one algorithm on one instance under the benchmark protocol.
 
@@ -203,13 +194,11 @@ def run_experiment(
                 _warn_if_beyond_thm2_cap(g, sp.thm2_cap)
             else:
                 g0 = gamma if gamma is not None else 10.0 * gdys
-                controller = AdaptiveController(
-                    gamma_ryu=sp.gamma_ryu, gamma_current=g0, c0=c0, c1=c1, shrink=shrink
-                )
+                controller = AdaptiveController(gamma_ryu=sp.gamma_ryu, gamma_current=g0)
                 g = controller.gamma_current
                 _warn_if_beyond_thm2_cap(controller.floor, sp.thm2_cap)
             params = RelaxationParams(gamma=g, lam=lam, alpha=alpha)
-            state, trace = run_ryu(p, params, stop=stop, envelope=envelope, controller=controller)
+            state, trace = run_ryu(p, params, stop=stop, controller=controller)
             final_x = state.x3
             final_f3 = state.f3_at_x3
             final_gamma = trace[-1].gamma if trace else g

@@ -360,7 +360,7 @@ def check_dys_transcription():
     d = 4
     f = QuadraticTerm(np.eye(d), np.zeros(d))
     p = CompositeProblem(f1=f, f2=f, f3=ScaledL1Term(0.5), shape=(d,))
-    params = DysParams(gamma=0.4, lam=1.0, roles=("f1", "f3", "f2"))
+    params = DysParams(gamma=0.4, lam=1.0)
     z = RealVector(np.full(d, 2.0))
     z_plus, x_f, x_g = dys_step(p, params, z)
     x_f_ref = z.data / 1.4

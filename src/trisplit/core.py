@@ -94,13 +94,15 @@ class RealVector:
         """Same-shape vector taking ownership of a freshly computed array.
 
         Unlike the constructor this does not copy; callers must not mutate
-        `arr` afterwards. Finiteness is still enforced.
+        `arr` afterwards. Finiteness is still enforced, but as NumericalError:
+        the array was computed by the program, so a non-finite entry means
+        the numerics overflowed, not that the input was malformed.
         """
         a = np.asarray(arr, dtype=np.float64).reshape(-1)
         if a.size != self.data.size:
             raise InputError(f"data length {a.size} does not match shape {self.shape}")
         if not np.isfinite(a).all():
-            raise InputError("RealVector entries must be finite")
+            raise NumericalError("a computed vector has non-finite entries (overflow or NaN)")
         if a.flags.writeable:
             a.setflags(write=False)
         v = object.__new__(RealVector)

@@ -143,26 +143,19 @@ class NonnegDistanceTerm(SmoothTerm):
 
 @dataclass(frozen=True, eq=False)
 class MaskedQuadraticTerm(SmoothTerm):
-    """(1/2) ||P(X - M)||_F^2 where P keeps the masked entries; smooth, convex, L=1."""
+    """(1/2) ||P(X - M)||_F^2 where P keeps the masked entries; smooth, convex, L=1.
+
+    `mask` is a boolean array of the target's shape, True where observed.
+    """
 
     target: RealVector
     mask: np.ndarray
 
     def __post_init__(self):
         m = self.mask
-        if isinstance(m, np.ndarray) and m.dtype == np.bool_:
-            mask = m
-        else:
-            if len(self.target.shape) != 2:
-                raise InputError("index-pair masks require a matrix-shaped target")
-            mask = np.zeros(self.target.shape, dtype=bool)
-            for i, j in m:
-                mask[int(i), int(j)] = True
-        if mask.shape != self.target.shape:
-            raise InputError(
-                f"mask shape {mask.shape} does not match target shape {self.target.shape}"
-            )
-        mask = mask.copy()
+        if not (isinstance(m, np.ndarray) and m.dtype == np.bool_ and m.shape == self.target.shape):
+            raise InputError(f"mask must be a boolean array of the target's shape {self.target.shape}")
+        mask = m.copy()
         mask.setflags(write=False)
         object.__setattr__(self, "mask", mask)
 

@@ -25,7 +25,7 @@ import csv
 import json
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -34,6 +34,7 @@ from .core import (
     CompositeProblem,
     DivergenceError,
     InputError,
+    NumericalError,
     RealVector,
     SmoothTerm,
 )
@@ -167,7 +168,7 @@ def smooth_prox(t: SmoothTerm, gamma: float, z: RealVector) -> RealVector:
     Without a closed form the subproblem t(u) + ||u - z||^2/(2 gamma) is
     strongly convex (1/gamma-strongly, (1/gamma + L)-smooth) and is solved by
     gradient descent with the fixed step 1/(1/gamma + L) to relative
-    tolerance 1e-12, capped at 10000 inner iterations.
+    tolerance 1e-12; NumericalError if 10000 inner iterations do not reach it.
     """
     if gamma <= 0:
         raise InputError("gamma must be positive")
@@ -180,10 +181,9 @@ def smooth_prox(t: SmoothTerm, gamma: float, z: RealVector) -> RealVector:
         g = t.grad(z.with_data(u)).data + (u - z.data) / gamma
         nxt = u - step * g
         if np.linalg.norm(nxt - u) <= 1e-12 * (1.0 + np.linalg.norm(nxt)):
-            u = nxt
-            break
+            return z.with_data(nxt)
         u = nxt
-    return z.with_data(u)
+    raise NumericalError("smooth prox by gradient descent did not reach tolerance 1e-12 in 10000 steps")
 
 
 def make_state(
@@ -419,20 +419,11 @@ def _objective(p: CompositeProblem, x: RealVector, f3_at_x: float) -> float:
     return float(p.f1.value(x)) + float(p.f2.value(x)) + f3_at_x
 
 
-def _envelope_enabled(
-    envelope: bool | None, p: CompositeProblem, params: RelaxationParams
-) -> bool:
-    if envelope is False:
-        return False
-    if params.alpha >= 1.0:
-        if envelope is True:
-            raise EnvelopeUndefinedError("cannot force envelope recording at alpha = 1")
-        return False
-    if envelope is True:
-        return True
-    # default: on for moderate sizes whenever prox-boundedness is guaranteed
+def _envelope_enabled(p: CompositeProblem, params: RelaxationParams) -> bool:
+    """Record the envelope where it is defined (alpha < 1), where
+    gamma < 1/(L1+L2) keeps gamma f3 prox-bounded, and up to dimension 1e4."""
     cap = 1.0 / (p.f1.lipschitz + p.f2.lipschitz)
-    return params.gamma < cap and p.dim <= 10_000
+    return params.alpha < 1.0 and params.gamma < cap and p.dim <= 10_000
 
 
 def _iterate(p: CompositeProblem, stop: StoppingRule, state, point: str, step, after=None):
@@ -481,16 +472,16 @@ def run_ryu(
     z1_0: RealVector | None = None,
     z2_0: RealVector | None = None,
     stop: StoppingRule | None = None,
-    envelope: bool | None = None,
     controller=None,
 ) -> tuple[SplitState, list[IterRecord]]:
     """Iterate until the composite residual drops below tol or max_iter is hit.
 
-    Starts from z1 = z2 = 0 unless given. `envelope=None` records envelope
-    values when alpha < 1, gamma < 1/(L1+L2) and the dimension is at most
-    1e4; True forces recording, False disables it. `controller`, when given,
-    may lower gamma after each iteration (see the stepsize planner); shadow
-    points are recomputed whenever it does.
+    Starts from z1 = z2 = 0 unless given. Envelope values are recorded
+    exactly when alpha < 1, gamma < 1/(L1+L2) (strictly, so gamma f3 stays
+    prox-bounded) and the dimension is at most 1e4; otherwise the envelope
+    field is None. `controller`, when given, may lower gamma after each
+    iteration (see the stepsize planner); shadow points are recomputed, and
+    the envelope rule re-applied, whenever it does.
 
     On divergence raises DivergenceError with the trace so far attached as
     `.trace`.
@@ -499,7 +490,7 @@ def run_ryu(
     z1 = z1_0 if z1_0 is not None else p.zeros()
     z2 = z2_0 if z2_0 is not None else p.zeros()
     state = make_state(p, params, z1, z2, k=0)
-    want_envelope = _envelope_enabled(envelope, p, params)
+    want_envelope = _envelope_enabled(p, params)
 
     def step(s: SplitState):
         nxt = ryu_step(p, params, s)
@@ -527,27 +518,14 @@ def run_ryu(
         if new_gamma == params.gamma:
             return s
         params = replace(params, gamma=new_gamma)
-        want_envelope = _envelope_enabled(envelope, p, params)
+        want_envelope = _envelope_enabled(p, params)
         # shadow points depend on gamma: refresh for the new value
         return make_state(p, params, s.z1, s.z2, k=s.k)
 
     return _iterate(p, stop, state, "x3", step, adapt if controller is not None else None)
 
 
-TRACE_COLUMNS = (
-    "k",
-    "gamma",
-    "envelope",
-    "objective",
-    "residual",
-    "dz1",
-    "dz2",
-    "dx1",
-    "dx2",
-    "gap31",
-    "gap32",
-    "time_ms",
-)
+TRACE_COLUMNS = tuple(f.name for f in fields(IterRecord))
 
 
 def records_to_dicts(records: Sequence[IterRecord]) -> list[dict]:

@@ -121,10 +121,7 @@ def eps2_star(L1: float, L2: float, lam: float, alpha: float, eps1: float) -> fl
     inside = [r for r in roots if r > lower]
     if not inside:
         raise PlanInfeasibleError(f"no eps2 root inside I2 for lam={lam}, alpha={alpha}")
-    if len(inside) == 1:
-        return inside[0]
-    # graceful degradation: two admissible roots, keep the better one
-    return max(inside, key=lambda e2: min(gamma_bounds(L1, L2, lam, alpha, eps1, e2)[1:]))
+    return inside[0]
 
 
 def optimize_epsilons(L1: float, L2: float, lam: float, alpha: float) -> tuple[float, float]:

@@ -62,7 +62,6 @@ class TestInstanceGeneration:
     def test_mask_has_exactly_s_entries(self):
         inst = generate_instance(**SMALL)
         assert int(inst.mask.sum()) == SMALL["s"]
-        assert inst.omega.shape == (SMALL["s"], 2)
 
     def test_target_has_requested_rank(self):
         inst = generate_instance(**SMALL)

@@ -196,6 +196,15 @@ class TestExitCodes:
         assert rc == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_internal_overflow_exits_3(self, capsys):
+        # a finite --proxgamma overflows inside the stopping residual
+        rc = cli.main(
+            ["solve", "--algo", "dys", "--n", "12", "--s", "40", "--rank", "3", "--proxgamma", "1e308", "--max-iter", "20"]
+        )
+        assert rc == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numerical failure: ")
+
     def test_numerical_failure_exits_3(self, monkeypatch, capsys):
         def boom():
             raise DivergenceError("iterates blew up")
@@ -258,6 +267,23 @@ class TestArgumentFuzzing:
             obj = float(out.split("obj=")[1].split()[0])
             residual = float(out.split("residual=")[1].split()[0])
             assert math.isfinite(obj) and math.isfinite(residual), out
+
+    @given(
+        st.lists(st.tuples(st.integers(-1, 8), st.integers(-1, 65)), min_size=1, max_size=2),
+        st.integers(0, 2),
+        st.integers(-1, 4),
+        st.integers(-1, 5),
+        flags(
+            optional=["--lam", "--alpha", "--lambda1", "--lambda2", "--tau", "--tol", "--proxgamma", "--gamma", "--gamma-dys"]
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_bench(self, sizes, seeds, rank, max_iter, argv):
+        sizes_arg = ",".join(f"{n}:{s}" for n, s in sizes)
+        rc, _ = run_main(
+            ["bench", "--sizes", sizes_arg, "--seeds", str(seeds), "--rank", str(rank), "--max-iter", str(max_iter), *argv]
+        )
+        assert rc in (0, 2, 3)
 
 
 def run_cli_subprocess(*argv):

@@ -68,7 +68,8 @@ class TestRealVector:
         assert w.shape == (2, 3)
         with pytest.raises(InputError):
             v.with_data(np.zeros(5))
-        with pytest.raises(InputError):
+        # a computed array that is not finite is lost numerics, not bad input
+        with pytest.raises(NumericalError):
             v.with_data(np.array([np.nan] * 6))
 
     def test_zeros(self):

@@ -162,13 +162,16 @@ class TestMaskedQuadratic:
         resid = g * t.grad(out).data + (out.data - x.data)
         npt.assert_allclose(resid, 0.0, atol=1e-12)
 
-    def test_index_pairs_accepted(self):
+    def test_rejects_mask_that_is_not_boolean_of_target_shape(self):
         target = RealVector(np.arange(6.0).reshape(2, 3), (2, 3))
-        pairs = np.array([[0, 0], [0, 2], [1, 1]])
-        t = MaskedQuadraticTerm(target=target, mask=pairs)
-        mask = np.zeros((2, 3), dtype=bool)
-        mask[[0, 0, 1], [0, 2, 1]] = True
-        npt.assert_array_equal(t.mask, mask)
+        for mask in (
+            np.array([[0, 0], [0, 2], [1, 1]]),  # index pairs
+            np.array([[1, 0, 1], [0, 1, 0]]),  # 0/1 integers
+            [[True, False, True], [False, True, False]],  # not an array
+            np.ones((3, 2), dtype=bool),  # transposed shape
+        ):
+            with pytest.raises(InputError):
+                MaskedQuadraticTerm(target=target, mask=mask)
 
 
 class TestSpectralMCP:

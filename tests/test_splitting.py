@@ -16,6 +16,7 @@ from trisplit import (
     DivergenceError,
     EnvelopeUndefinedError,
     InputError,
+    NumericalError,
     QuadraticTerm,
     RealVector,
     RelaxationParams,
@@ -23,6 +24,7 @@ from trisplit import (
     SplitState,
     StoppingRule,
     ZeroProxTerm,
+    build_problem,
     composite_residual,
     descent_constants,
     evaluate_objective,
@@ -125,6 +127,18 @@ class TestStepTranscription:
         g = 0.7
         out = smooth_prox(t, g, z)
         npt.assert_allclose(out.data, (z.data + g * c) / (1 + g), rtol=1e-9)
+
+    def test_smooth_prox_gradient_fallback_fails_loudly(self):
+        # ill-conditioned: 10000 steps contract the 0.01-curvature coordinate
+        # too little, and the last iterate would be -1.135 where the prox is -1
+        h = np.array([100.0, 0.01])
+        t = CallableSmoothTerm(
+            value_fn=lambda x: 0.5 * float((h * x.data**2).sum()),
+            grad_fn=lambda x: x.with_data(h * x.data),
+            lipschitz=100.0,
+        )
+        with pytest.raises(NumericalError):
+            smooth_prox(t, 100.0, RealVector([1.0, -2.0], (2,)))
 
     def test_step_overflow_raises_divergence(self):
         prob = CompositeProblem(
@@ -327,14 +341,23 @@ class TestRunRyu:
         stop = StoppingRule(tol=1e-7, max_iter=40)
         _, auto = run_ryu(prob, params, stop=stop)
         assert all(r.envelope is not None for r in auto)
-        _, off = run_ryu(prob, params, stop=stop, envelope=False)
-        assert all(r.envelope is None for r in off)
-        # above the prox-boundedness threshold the default turns recording off
+        # above the prox-boundedness threshold recording is off
         params_big = RelaxationParams(gamma=2.0 * cap, lam=1.0, alpha=0.8)
         _, big = run_ryu(prob, params_big, stop=stop)
         assert all(r.envelope is None for r in big)
-        _, forced = run_ryu(prob, params_big, stop=stop, envelope=True)
-        assert all(r.envelope is not None for r in forced)
+
+    def test_envelope_rule_at_the_planner_bounds(self):
+        # recorded at the planner's largest admissible stepsize, which lies
+        # below 1/(L1+L2) here; not recorded at 1/(L1+L2) itself
+        prob, _ = convex_l1_problem(d=3, seed=4)
+        L1, L2 = prob.f1.lipschitz, prob.f2.lipschitz
+        stop = StoppingRule(tol=1e-12, max_iter=5)
+        upper = plan(L1, L2, lam=1.0, alpha=0.8).gamma_upper
+        assert upper < 1.0 / (L1 + L2)
+        _, at_upper = run_ryu(prob, RelaxationParams(gamma=upper, lam=1.0, alpha=0.8), stop=stop)
+        assert len(at_upper) == 5 and all(r.envelope is not None for r in at_upper)
+        _, at_cap = run_ryu(prob, RelaxationParams(gamma=1.0 / (L1 + L2), lam=1.0, alpha=0.8), stop=stop)
+        assert len(at_cap) == 5 and all(r.envelope is None for r in at_cap)
 
     def test_alpha_one_runs_without_envelope(self):
         prob, xstar = convex_l1_problem(d=3, seed=6)
@@ -342,8 +365,6 @@ class TestRunRyu:
         state, trace = run_ryu(prob, params, stop=StoppingRule(tol=1e-8, max_iter=20000))
         assert all(r.envelope is None for r in trace)
         assert (state.x3 - xstar).norm() < 1e-5
-        with pytest.raises(EnvelopeUndefinedError):
-            run_ryu(prob, params, stop=StoppingRule(max_iter=5), envelope=True)
 
     def test_controller_shrinks_gamma_and_trace_records_it(self):
         prob, _ = convex_l1_problem(d=4, seed=8)
@@ -386,6 +407,13 @@ class TestRunRyu:
             run_ryu(prob, params, stop=StoppingRule(tol=1e-12, max_iter=50))
         assert [r.k for r in exc_info.value.trace] == [1, 2]
 
+    def test_huge_finite_start_is_numerical_error(self, tiny_instance):
+        # a finite start whose arithmetic overflows is lost numerics, not bad input
+        for prob in (build_problem(tiny_instance), convex_l1_problem(d=4)[0]):
+            z0 = RealVector(np.full(prob.dim, 1.7e308), prob.shape)
+            with pytest.raises(NumericalError), np.errstate(over="ignore"):
+                run_ryu(prob, RelaxationParams(gamma=0.05), z1_0=z0, z2_0=z0)
+
     def test_objective_column_matches_direct_evaluation(self):
         prob, _ = convex_l1_problem(d=4, seed=3)
         params = RelaxationParams(gamma=0.05, lam=1.0, alpha=0.8)
@@ -416,15 +444,15 @@ class TestTraceExport:
         assert got == pytest.approx(trace[0].objective, rel=1e-15)
 
     def test_csv_blank_envelope_when_absent(self, tmp_path):
+        # at alpha = 1 the envelope is undefined, so it is never recorded
         prob, _ = convex_l1_problem(d=3, seed=12)
-        params = RelaxationParams(gamma=0.05, lam=1.0, alpha=0.8)
-        _, trace = run_ryu(
-            prob, params, stop=StoppingRule(tol=1e-8, max_iter=5), envelope=False
-        )
+        params = RelaxationParams(gamma=0.05, lam=1.0, alpha=1.0)
+        _, trace = run_ryu(prob, params, stop=StoppingRule(tol=1e-8, max_iter=5))
         path = tmp_path / "trace.csv"
         write_trace_csv(path, trace)
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
+        assert len(rows) == 6
         assert all(r[2] == "" for r in rows[1:])
 
     def test_json_mirrors_columns(self, tmp_path):
