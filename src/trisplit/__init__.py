@@ -23,7 +23,6 @@ from .proxlib import (
     SeparableMCPTerm,
     SpectralMCPTerm,
     ZeroProxTerm,
-    ZeroSmoothTerm,
     brute_force_prox_1d,
     default_prox_bracket,
     mcp_value,

@@ -15,10 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .core import CompositeProblem, DivergenceError, InputError, RealVector
-from .splitting import IterRecord, StoppingRule, _iterate, _objective, smooth_prox
+from .core import CompositeProblem, InputError, RealVector
+from .splitting import IterRecord, StoppingRule, _dist, _iterate, _objective, _relax, smooth_prox
 
 __all__ = ["DysParams", "DysState", "dys_step", "run_dys"]
 
@@ -57,17 +55,9 @@ def _check_gamma(p: CompositeProblem, params: DysParams) -> None:
 def _make_state(p: CompositeProblem, params: DysParams, z: RealVector, k: int) -> DysState:
     gamma = params.gamma
     x_f = smooth_prox(p.f2, gamma, z)
-    anchor = 2.0 * x_f - z - gamma * p.f1.grad(x_f)
-    x_g, f3v = p.f3.prox_with_value(gamma, anchor)
+    anchor = 2.0 * x_f.data - z.data - gamma * p.f1.grad(x_f).data
+    x_g, f3v = p.f3.prox_with_value(gamma, z.with_data(anchor))
     return DysState(z=z, x_f=x_f, x_g=x_g, f3_at_xg=f3v, k=k)
-
-
-def _relax(params: DysParams, s: DysState) -> RealVector:
-    """z+ = z + lam (x_g - x_f); a non-finite entry is divergence."""
-    z_plus = s.z.data + params.lam * (s.x_g.data - s.x_f.data)
-    if not np.isfinite(z_plus).all():
-        raise DivergenceError(f"z became non-finite at iteration {s.k + 1}")
-    return s.z.with_data(z_plus)
 
 
 def dys_step(
@@ -77,7 +67,7 @@ def dys_step(
     p.check_shape(z, "z")
     _check_gamma(p, params)
     s = _make_state(p, params, z, k=0)
-    return _relax(params, s), s.x_f, s.x_g
+    return _relax(params.lam, z, s.x_g, s.x_f, "z became non-finite at iteration 1"), s.x_f, s.x_g
 
 
 def run_dys(
@@ -98,16 +88,18 @@ def run_dys(
     _check_gamma(p, params)
 
     def step(s: DysState):
-        nxt = _make_state(p, params, _relax(params, s), k=s.k + 1)
+        k = s.k + 1
+        z = _relax(params.lam, s.z, s.x_g, s.x_f, f"z became non-finite at iteration {k}")
+        nxt = _make_state(p, params, z, k=k)
         return nxt, dict(
             gamma=params.gamma,
             envelope=None,
             objective=_objective(p, nxt.x_g, nxt.f3_at_xg),
-            dz1=float(np.linalg.norm(nxt.z.data - s.z.data)),
+            dz1=_dist(nxt.z, s.z),
             dz2=0.0,
-            dx1=(nxt.x_f - s.x_f).norm(),
+            dx1=_dist(nxt.x_f, s.x_f),
             dx2=0.0,
-            gap31=(nxt.x_g - nxt.x_f).norm(),
+            gap31=_dist(nxt.x_g, nxt.x_f),
             gap32=0.0,
         )
 

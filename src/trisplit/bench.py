@@ -29,7 +29,6 @@ from .splitting import (
     _objective,
     composite_residual,
     run_ryu,
-    write_trace_csv,
 )
 from .stepsize import AdaptiveController, plan
 
@@ -314,15 +313,16 @@ def run_benchmark(
     lam2: float = 5.0,
     tau: float = 100.0,
     jobs: int = 1,
-    trace_dir=None,
     **overrides,
 ) -> list[RunReport]:
     """The full benchmark protocol: every (size, seed, algorithm) combination.
 
     Runs are independent and deterministic per (seed, algo, overrides), so
     the result does not depend on the parallel schedule; `jobs` bounds the
-    worker threads.
+    worker threads. Every run uses the numpy error state of the call, also
+    in worker threads, which start from numpy's defaults.
     """
+    errstate = np.geterr()
     tasks = [
         (n, s, seed, algo)
         for (n, s) in sizes
@@ -332,16 +332,11 @@ def run_benchmark(
 
     def one(task):
         n, s, seed, algo = task
-        inst = generate_instance(n, n, r, s, seed, lam1=lam1, lam2=lam2, tau=tau)
-        return run_experiment(inst, algo, **overrides)
+        with np.errstate(**errstate):
+            inst = generate_instance(n, n, r, s, seed, lam1=lam1, lam2=lam2, tau=tau)
+            return run_experiment(inst, algo, **overrides)
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(one, tasks))
-    else:
-        reports = [one(t) for t in tasks]
-    if trace_dir is not None:
-        for rep in reports:
-            path = f"{trace_dir}/{trace_filename(rep.algo, rep.m, rep.n, rep.s, rep.seed)}"
-            write_trace_csv(path, rep.trace)
-    return reports
+            return list(pool.map(one, tasks))
+    return [one(t) for t in tasks]

@@ -23,6 +23,7 @@ from .bench import (
     run_benchmark,
     run_experiment,
     summarize,
+    trace_filename,
     write_summary_csv,
 )
 from .checks import run_all_checks
@@ -151,7 +152,6 @@ def cmd_bench(args) -> int:
         lam2=args.lambda2,
         tau=args.tau,
         jobs=args.jobs,
-        trace_dir=args.outdir,
         lam=args.lam,
         alpha=args.alpha,
         gamma=args.gamma,
@@ -161,6 +161,9 @@ def cmd_bench(args) -> int:
     rows = summarize(reports)
     print(format_summary(rows))
     if args.outdir:
+        for rep in reports:
+            name = trace_filename(rep.algo, rep.m, rep.n, rep.s, rep.seed)
+            write_trace_csv(f"{args.outdir}/{name}", rep.trace)
         path = f"{args.outdir}/summary.csv"
         write_summary_csv(path, rows)
         print(f"summary written to {path}")

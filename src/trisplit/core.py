@@ -212,8 +212,13 @@ class CompositeProblem:
     def __post_init__(self):
         object.__setattr__(self, "shape", _normalize_shape(self.shape))
         for name, t in (("f1", self.f1), ("f2", self.f2)):
-            if not (t.lipschitz > 0):
-                raise InputError(f"{name}.lipschitz must be positive, got {t.lipschitz}")
+            lipschitz = getattr(t, "lipschitz", None)
+            if lipschitz is None:
+                raise InputError(
+                    f"{name} must be a smooth term, but {type(t).__name__} has no `lipschitz` modulus"
+                )
+            if not (lipschitz > 0):
+                raise InputError(f"{name}.lipschitz must be positive, got {lipschitz}")
             if not t.convex:
                 raise InputError(f"{name} must be convex for this method")
 

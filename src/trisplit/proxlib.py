@@ -25,7 +25,6 @@ __all__ = [
     "QuadraticTerm",
     "ScaledL1Term",
     "SeparableMCPTerm",
-    "ZeroSmoothTerm",
     "ZeroProxTerm",
     "mcp_value",
     "prox_scalar_mcp",
@@ -289,22 +288,6 @@ class SeparableMCPTerm(ProxTerm):
 
     def prox(self, gamma: float, z: RealVector) -> RealVector:
         return z.with_data(prox_scalar_mcp(self.weight, self.tau, gamma, z.data))
-
-
-@dataclass(frozen=True)
-class ZeroSmoothTerm(SmoothTerm):
-    """Identically zero smooth term (with an arbitrary declared modulus)."""
-
-    lipschitz: float = 1.0
-
-    def value(self, x: RealVector) -> float:
-        return 0.0
-
-    def grad(self, x: RealVector) -> RealVector:
-        return x.with_data(np.zeros_like(x.data))
-
-    def prox(self, gamma: float, x: RealVector) -> RealVector:
-        return x
 
 
 @dataclass(frozen=True)

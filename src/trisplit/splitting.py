@@ -16,7 +16,10 @@ gamma2 = gamma/(1-alpha); it decreases by a computable margin per step for
 admissible stepsizes and is used both as a diagnostic and in the tests.
 
 `_iterate` is the only iteration loop: `run_ryu` and the Davis-Yin
-`baselines.run_dys` each pass it one step function.
+`baselines.run_dys` each pass it one step function, and both relax their
+governing variables through `_relax`. The loop's arithmetic runs on the flat
+arrays of the vectors; a RealVector is built only where a term oracle takes
+one, and each new governing variable is checked for finiteness once.
 """
 
 from __future__ import annotations
@@ -59,7 +62,6 @@ __all__ = [
     "identity_check",
     "run_ryu",
     "TRACE_COLUMNS",
-    "records_to_dicts",
     "write_trace_csv",
     "write_trace_json",
 ]
@@ -186,30 +188,49 @@ def smooth_prox(t: SmoothTerm, gamma: float, z: RealVector) -> RealVector:
     raise NumericalError("smooth prox by gradient descent did not reach tolerance 1e-12 in 10000 steps")
 
 
-def make_state(
-    p: CompositeProblem, params: RelaxationParams, z1: RealVector, z2: RealVector, k: int = 0
-) -> SplitState:
-    """Compute the shadow points for (z1, z2) and bundle them into a state."""
+def _dist(a: RealVector, b: RealVector) -> float:
+    """||a - b||, computed on the flat arrays."""
+    return float(np.linalg.norm(a.data - b.data))
+
+
+def _relax(lam: float, z: RealVector, x_new: RealVector, x_old: RealVector, msg: str) -> RealVector:
+    """z + lam (x_new - x_old); a non-finite entry is a DivergenceError(msg)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        arr = z.data + lam * (x_new.data - x_old.data)
+    try:
+        return z.with_data(arr)
+    except NumericalError:
+        raise DivergenceError(msg) from None
+
+
+def _smooth_points(
+    p: CompositeProblem, params: RelaxationParams, z1: RealVector, z2: RealVector
+) -> tuple[RealVector, RealVector]:
+    """x1 = prox_{gamma f1}(z1) and x2 = prox_{(gamma/alpha) f2}(z2/alpha + x1)."""
     p.check_shape(z1, "z1")
     p.check_shape(z2, "z2")
     gamma, alpha = params.gamma, params.alpha
     x1 = smooth_prox(p.f1, gamma, z1)
-    x2 = smooth_prox(p.f2, gamma / alpha, z2 / alpha + x1)
-    anchor = x1 - z1 + x2 - z2
-    x3, f3v = p.f3.prox_with_value(gamma, anchor)
+    x2 = smooth_prox(p.f2, gamma / alpha, z2.with_data(z2.data / alpha + x1.data))
+    return x1, x2
+
+
+def make_state(
+    p: CompositeProblem, params: RelaxationParams, z1: RealVector, z2: RealVector, k: int = 0
+) -> SplitState:
+    """Compute the shadow points for (z1, z2) and bundle them into a state."""
+    x1, x2 = _smooth_points(p, params, z1, z2)
+    anchor = x1.data - z1.data + x2.data - z2.data
+    x3, f3v = p.f3.prox_with_value(params.gamma, z1.with_data(anchor))
     return SplitState(z1=z1, z2=z2, x1=x1, x2=x2, x3=x3, f3_at_x3=f3v, k=k)
 
 
 def ryu_step(p: CompositeProblem, params: RelaxationParams, s: SplitState) -> SplitState:
     """One full iteration: relax the governing variables, refresh shadow points."""
-    lam = params.lam
-    with np.errstate(over="ignore", invalid="ignore"):
-        z1 = s.z1.data + lam * (s.x3.data - s.x1.data)
-        z2 = s.z2.data + lam * (s.x3.data - s.x2.data)
-    for name, arr in (("z1", z1), ("z2", z2)):
-        if not np.isfinite(arr).all():
-            raise DivergenceError(f"{name} became non-finite at iteration {s.k + 1}")
-    return make_state(p, params, s.z1.with_data(z1), s.z2.with_data(z2), k=s.k + 1)
+    k, lam = s.k + 1, params.lam
+    z1 = _relax(lam, s.z1, s.x3, s.x1, f"z1 became non-finite at iteration {k}")
+    z2 = _relax(lam, s.z2, s.x3, s.x2, f"z2 became non-finite at iteration {k}")
+    return make_state(p, params, z1, z2, k=k)
 
 
 def _require_envelope(params: RelaxationParams) -> None:
@@ -223,8 +244,8 @@ def _linearization_gap(
     x: RealVector, anchor: RealVector, grad: RealVector, weight: float
 ) -> float:
     """<x - anchor, grad> + ||x - anchor||^2 / (2 weight)."""
-    diff = x - anchor
-    return diff.dot(grad) + diff.norm() ** 2 / (2.0 * weight)
+    diff = x.data - anchor.data
+    return float(diff @ grad.data) + float(np.linalg.norm(diff)) ** 2 / (2.0 * weight)
 
 
 def ryu_envelope(
@@ -241,11 +262,8 @@ def ryu_envelope(
     keep gamma f3 prox-bounded (gamma < 1/(L1+L2) always suffices).
     """
     _require_envelope(params)
-    p.check_shape(z1, "z1")
-    p.check_shape(z2, "z2")
     gamma, alpha = params.gamma, params.alpha
-    x1 = smooth_prox(p.f1, gamma, z1)
-    x2 = smooth_prox(p.f2, gamma / alpha, z2 / alpha + x1)
+    x1, x2 = _smooth_points(p, params, z1, z2)
     g1 = p.f1.grad(x1)
     g2 = p.f2.grad(x2)
     w = alpha * x1 + (1.0 - alpha) * x2 - gamma * (g1 + g2)
@@ -274,8 +292,7 @@ def ryu_envelope_moreau(
     """
     _require_envelope(params)
     gamma, alpha = params.gamma, params.alpha
-    x1 = smooth_prox(p.f1, gamma, z1)
-    x2 = smooth_prox(p.f2, gamma / alpha, z2 / alpha + x1)
+    x1, x2 = _smooth_points(p, params, z1, z2)
     g1 = p.f1.grad(x1)
     g2 = p.f2.grad(x2)
     u1 = x1 - params.gamma1 * g1
@@ -375,9 +392,9 @@ def composite_residual(p: CompositeProblem, prox_gamma: float, x: RealVector) ->
     if prox_gamma <= 0:
         raise InputError("prox_gamma must be positive")
     p.check_shape(x)
-    g = p.f1.grad(x) + p.f2.grad(x)
-    step = p.f3.prox(prox_gamma, x - prox_gamma * g)
-    return (x - step).norm()
+    g = p.f1.grad(x).data + p.f2.grad(x).data
+    step = p.f3.prox(prox_gamma, x.with_data(x.data - prox_gamma * g))
+    return _dist(x, step)
 
 
 def identity_check(
@@ -498,12 +515,12 @@ def run_ryu(
             gamma=params.gamma,
             envelope=state_envelope(p, params, nxt) if want_envelope else None,
             objective=_objective(p, nxt.x3, nxt.f3_at_x3),
-            dz1=(nxt.z1 - s.z1).norm(),
-            dz2=(nxt.z2 - s.z2).norm(),
-            dx1=(nxt.x1 - s.x1).norm(),
-            dx2=(nxt.x2 - s.x2).norm(),
-            gap31=(nxt.x3 - nxt.x1).norm(),
-            gap32=(nxt.x3 - nxt.x2).norm(),
+            dz1=_dist(nxt.z1, s.z1),
+            dz2=_dist(nxt.z2, s.z2),
+            dx1=_dist(nxt.x1, s.x1),
+            dx2=_dist(nxt.x2, s.x2),
+            gap31=_dist(nxt.x3, nxt.x1),
+            gap32=_dist(nxt.x3, nxt.x2),
         )
 
     def adapt(s: SplitState, rec: IterRecord) -> SplitState:
@@ -528,10 +545,6 @@ def run_ryu(
 TRACE_COLUMNS = tuple(f.name for f in fields(IterRecord))
 
 
-def records_to_dicts(records: Sequence[IterRecord]) -> list[dict]:
-    return [{c: getattr(r, c) for c in TRACE_COLUMNS} for r in records]
-
-
 def write_trace_csv(path, records: Sequence[IterRecord]) -> None:
     """One row per iteration; envelope written blank when not evaluated."""
     with open(path, "w", newline="") as fh:
@@ -546,5 +559,5 @@ def write_trace_csv(path, records: Sequence[IterRecord]) -> None:
 def write_trace_json(path, records: Sequence[IterRecord]) -> None:
     """Same fields as the CSV, as a JSON array of records (null envelope)."""
     with open(path, "w") as fh:
-        json.dump(records_to_dicts(records), fh, indent=1)
+        json.dump([{c: getattr(r, c) for c in TRACE_COLUMNS} for r in records], fh, indent=1)
         fh.write("\n")

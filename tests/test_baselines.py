@@ -78,11 +78,11 @@ class TestRunDys:
         real_relax = baselines._relax
         calls = {"n": 0}
 
-        def flaky(params, s):
+        def flaky(lam, z, x_new, x_old, msg):
             calls["n"] += 1
             if calls["n"] > 3:
                 raise DivergenceError("synthetic blow-up")
-            return real_relax(params, s)
+            return real_relax(lam, z, x_new, x_old, msg)
 
         monkeypatch.setattr(baselines, "_relax", flaky)
         with pytest.raises(DivergenceError) as exc_info:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from trisplit import (
     summarize,
 )
 from trisplit.bench import (
+    ALGOS,
     default_gamma_dys,
     format_summary,
     run_benchmark,
@@ -184,26 +186,20 @@ class TestRunBenchmark:
     def test_trace_filename_pattern(self):
         assert trace_filename("ryu+", 100, 100, 1000, 3) == "trace_ryu+_100x100_s1000_seed3.csv"
 
-    def test_small_benchmark_writes_traces(self, tmp_path):
-        reports = run_benchmark(
-            sizes=[(12, 30)],
-            seeds=[0, 1],
-            algos=("dys",),
-            r=3,
-            stop=SMALL_STOP,
-            trace_dir=tmp_path,
-        )
-        assert len(reports) == 2
-        for rep in reports:
-            f = tmp_path / trace_filename("dys", 12, 12, 30, rep.seed)
-            assert f.exists()
-            header = f.read_text().splitlines()[0]
-            assert header == "k,gamma,envelope,objective,residual,dz1,dz2,dx1,dx2,gap31,gap32,time_ms"
-
     def test_parallel_matches_serial(self):
-        kw = dict(sizes=[(12, 30)], seeds=[0, 1], algos=("dys",), r=3, stop=SMALL_STOP)
+        kw = dict(sizes=[(12, 30)], seeds=[0, 1], algos=ALGOS, r=3, stop=SMALL_STOP)
         serial = run_benchmark(jobs=1, **kw)
         parallel = run_benchmark(jobs=2, **kw)
-        for a, b in zip(serial, parallel):
-            assert a.iterations == b.iterations
-            assert a.objective == pytest.approx(b.objective, rel=1e-12)
+        assert [(r.seed, r.algo) for r in serial] == [(seed, algo) for seed in (0, 1) for algo in ALGOS]
+        assert [bitwise(r) for r in parallel] == [bitwise(r) for r in serial]
+
+
+def bitwise(obj):
+    """Every dataclass field except time_ms, recursively, with floats as hex."""
+    if isinstance(obj, float):
+        return obj.hex()
+    if isinstance(obj, tuple):
+        return [bitwise(x) for x in obj]
+    if dataclasses.is_dataclass(obj):
+        return {f.name: bitwise(getattr(obj, f.name)) for f in dataclasses.fields(obj) if f.name != "time_ms"}
+    return obj

@@ -128,7 +128,8 @@ class TestBenchCommand:
         assert rows[0] == ["algo", "n", "s", "mean_iter", "mean_time_ms", "mean_obj", "conv_rate", "capped"]
         assert len(rows) == 2  # one grouped row: dys at 12x12/s=40
         for seed in (0, 1):
-            assert (tmp_path / f"trace_dys_12x12_s40_seed{seed}.csv").exists()
+            header = (tmp_path / f"trace_dys_12x12_s40_seed{seed}.csv").read_text().splitlines()[0]
+            assert header == "k,gamma,envelope,objective,residual,dz1,dz2,dx1,dx2,gap31,gap32,time_ms"
         reports = json.loads((tmp_path / "reports.json").read_text())
         assert [(r["algo"], r["seed"]) for r in reports] == [("dys", 0), ("dys", 1)]
         assert all("trace" not in r and r["converged"] for r in reports)
@@ -305,6 +306,17 @@ def test_extreme_input_prints_only_the_error_line():
     assert proc.returncode in (2, 3)
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith(("input error: ", "numerical failure: ")), proc.stderr
+
+
+def test_extreme_input_in_bench_worker_threads_prints_only_the_error_line():
+    # worker threads start from numpy's default error state, not the CLI's
+    proc = run_cli_subprocess(
+        "bench", "--sizes", "12:40", "--seeds", "2", "--rank", "3", "--algos", "dys",
+        "--proxgamma", "1e308", "--max-iter", "20", "--jobs", "2",
+    )
+    assert proc.returncode == 3
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numerical failure: "), proc.stderr
 
 
 def test_stepsize_cap_warning_still_prints():

@@ -125,6 +125,13 @@ class TestCompositeProblem:
         with pytest.raises(InputError):
             CompositeProblem(f1=t, f2=good, f3=ZeroProxTerm(), shape=(2,))
 
+    @pytest.mark.parametrize("slot", ["f1", "f2"])
+    def test_rejects_nonsmooth_term_in_smooth_slot(self, slot):
+        good = QuadraticTerm(matrix=np.eye(2), center=np.zeros(2))
+        terms = {"f1": good, "f2": good, slot: ScaledL1Term(1.0)}
+        with pytest.raises(InputError, match=rf"^{slot} .*lipschitz"):
+            CompositeProblem(**terms, f3=ZeroProxTerm(), shape=(2,))
+
     def test_check_shape(self):
         p = CompositeProblem(
             f1=QuadraticTerm(matrix=np.eye(2), center=np.zeros(2)),
