@@ -13,6 +13,7 @@ gradient slot.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .core import CompositeProblem, InputError, RealVector
@@ -29,8 +30,8 @@ class DysParams:
     lam: float = 1.0
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise InputError(f"gamma must be positive, got {self.gamma}")
+        if not 0 < self.gamma < math.inf:
+            raise InputError(f"gamma must be positive and finite, got {self.gamma}")
         if not 0 < self.lam <= 2:
             raise InputError(f"lam must lie in (0, 2], got {self.lam}")
 

@@ -158,7 +158,6 @@ def run_experiment(
     lam: float = 1.0,
     alpha: float = 0.99,
     gamma: float | None = None,
-    gamma_dys: float | None = None,
     stop: StoppingRule | None = None,
 ) -> RunReport:
     """Run one algorithm on one instance under the benchmark protocol.
@@ -174,7 +173,7 @@ def run_experiment(
     p = build_problem(inst)
     stop = stop or StoppingRule()
     L1, L2 = p.f1.lipschitz, p.f2.lipschitz
-    gdys = gamma_dys if gamma_dys is not None else default_gamma_dys(L1, L2)
+    gdys = default_gamma_dys(L1, L2)
 
     diverged = False
     controller = None
@@ -190,13 +189,12 @@ def run_experiment(
             sp = plan(L1, L2, lam, alpha)
             if algo == "ryu":
                 g = gamma if gamma is not None else sp.gamma_ryu
-                _warn_if_beyond_thm2_cap(g, sp.thm2_cap)
             else:
                 g0 = gamma if gamma is not None else 10.0 * gdys
                 controller = AdaptiveController(gamma_ryu=sp.gamma_ryu, gamma_current=g0)
                 g = controller.gamma_current
-                _warn_if_beyond_thm2_cap(controller.floor, sp.thm2_cap)
             params = RelaxationParams(gamma=g, lam=lam, alpha=alpha)
+            _warn_if_beyond_thm2_cap(controller.floor if controller else g, sp.thm2_cap)
             state, trace = run_ryu(p, params, stop=stop, controller=controller)
             final_x = state.x3
             final_f3 = state.f3_at_x3

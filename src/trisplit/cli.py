@@ -56,7 +56,6 @@ def _add_protocol_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--tol", type=float, default=1e-3, help="composite-residual tolerance")
     sub.add_argument("--proxgamma", type=float, default=5e-3, help="residual prox stepsize")
     sub.add_argument("--gamma", type=float, default=None, help="stepsize override")
-    sub.add_argument("--gamma-dys", type=float, default=None, help="baseline stepsize override")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -107,10 +106,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_plan(args) -> int:
     sp = plan(args.l1, args.l2, args.lam, args.alpha)
+    fields = {**dataclasses.asdict(sp), "gamma_in_thm2_cap": sp.gamma_in_thm2_cap}
     if args.format == "json":
-        print(json.dumps(sp.as_dict(), indent=1))
+        print(json.dumps(fields, indent=1))
     else:
-        fields = {**dataclasses.asdict(sp), "gamma_in_thm2_cap": sp.gamma_in_thm2_cap}
         width = max(len(k) for k in fields)
         for key, value in fields.items():
             print(f"{key:<{width}}  {value}")
@@ -123,10 +122,7 @@ def cmd_solve(args) -> int:
         lam1=args.lambda1, lam2=args.lambda2, tau=args.tau,
     )
     stop = StoppingRule(prox_gamma=args.proxgamma, tol=args.tol, max_iter=args.max_iter)
-    rep = run_experiment(
-        inst, args.algo, lam=args.lam, alpha=args.alpha,
-        gamma=args.gamma, gamma_dys=args.gamma_dys, stop=stop,
-    )
+    rep = run_experiment(inst, args.algo, lam=args.lam, alpha=args.alpha, gamma=args.gamma, stop=stop)
     status = "diverged" if rep.diverged else ("converged" if rep.converged else "capped")
     print(
         f"algo={rep.algo} n={rep.n} s={rep.s} seed={rep.seed} {status} "
@@ -155,7 +151,6 @@ def cmd_bench(args) -> int:
         lam=args.lam,
         alpha=args.alpha,
         gamma=args.gamma,
-        gamma_dys=args.gamma_dys,
         stop=StoppingRule(prox_gamma=args.proxgamma, tol=args.tol, max_iter=args.max_iter),
     )
     rows = summarize(reports)

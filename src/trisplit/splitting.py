@@ -80,8 +80,8 @@ class RelaxationParams:
     alpha: float = 0.99
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise InputError(f"gamma must be positive, got {self.gamma}")
+        if not 0 < self.gamma < math.inf:
+            raise InputError(f"gamma must be positive and finite, got {self.gamma}")
         if not 0 < self.lam <= 2:
             raise InputError(f"lam must lie in (0, 2], got {self.lam}")
         if not 0 < self.alpha <= 1:

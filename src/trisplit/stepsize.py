@@ -21,9 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import bisect
-
-from .core import InputError
+from .core import InputError, NumericalError
 
 __all__ = [
     "PlanInfeasibleError",
@@ -124,6 +122,29 @@ def eps2_star(L1: float, L2: float, lam: float, alpha: float, eps1: float) -> fl
     return inside[0]
 
 
+def _bisect(f, a: float, b: float, fa: float, fb: float) -> float:
+    """Root of f on [a, b] from fa = f(a), fb = f(b) of opposite sign: halve the
+    step dm from a, moving a to the midpoint whenever f there has the sign of
+    the first fa, until f vanishes or |dm| < 1e-15 + 1e-12 |mid|. A NaN value
+    or 200 halvings without convergence raise NumericalError."""
+    if fa == 0:
+        return a
+    if fb == 0:
+        return b
+    dm = b - a
+    for _ in range(200):
+        dm *= 0.5
+        xm = a + dm
+        fm = f(xm)
+        if math.isnan(fm):
+            raise NumericalError(f"the eps1 crossing value at {xm} is NaN")
+        if fm * fa >= 0:
+            a = xm
+        if fm == 0 or abs(dm) < 1e-15 + 1e-12 * abs(xm):
+            return xm
+    raise NumericalError("the eps1 bisection did not converge in 200 halvings")
+
+
 def optimize_epsilons(L1: float, L2: float, lam: float, alpha: float) -> tuple[float, float]:
     """Pick (eps1, eps2) maximizing min{gbar1, gbar2, gbar3}.
 
@@ -150,12 +171,8 @@ def optimize_epsilons(L1: float, L2: float, lam: float, alpha: float) -> tuple[f
         return g1 - g3
 
     fa, fb = crossing(a), crossing(b)
-    if fa == 0.0:
-        eps1 = a
-    elif fb == 0.0:
-        eps1 = b
-    elif fa * fb < 0:
-        eps1 = bisect(crossing, a, b, xtol=1e-15, rtol=1e-12, maxiter=200)
+    if fa == 0 or fb == 0 or fa * fb < 0:  # not `fa * fb <= 0`: the product can underflow
+        eps1 = _bisect(crossing, a, b, fa, fb)
     else:
 
         def minimum_cap(e1: float) -> float:
@@ -190,20 +207,6 @@ class StepsizePlan:
         """Whether gamma_ryu also satisfies the stronger subsequential-convergence cap."""
         return self.gamma_ryu <= self.thm2_cap
 
-    def as_dict(self) -> dict:
-        return {
-            "alpha_bar": self.alpha_bar,
-            "eps1": self.eps1,
-            "eps2": self.eps2,
-            "gbar0": self.gbar0,
-            "gbar1": self.gbar1,
-            "gbar2": self.gbar2,
-            "gbar3": self.gbar3,
-            "gamma_ryu": self.gamma_ryu,
-            "thm2_cap": self.thm2_cap,
-            "gamma_in_thm2_cap": self.gamma_in_thm2_cap,
-        }
-
 
 def plan(L1: float, L2: float, lam: float = 1.0, alpha: float = 0.99) -> StepsizePlan:
     """Optimize the epsilons and assemble the stepsize plan.
@@ -215,9 +218,8 @@ def plan(L1: float, L2: float, lam: float = 1.0, alpha: float = 0.99) -> Stepsiz
     """
     eps1, eps2 = optimize_epsilons(L1, L2, lam, alpha)
     g0, g1, g2, g3 = gamma_bounds(L1, L2, lam, alpha, eps1, eps2)
-    prox_cap = 1.0 / (L1 + L2)
-    gamma_upper = min(min(g0, g1), min(g2, g3, prox_cap))
-    gamma_ryu = 0.99 * min(g0, g1, g2, g3, prox_cap)
+    gamma_upper = min(g0, g1, g2, g3, 1.0 / (L1 + L2))
+    gamma_ryu = 0.99 * gamma_upper
     if not gamma_ryu > 0:
         raise PlanInfeasibleError(
             f"nonpositive stepsize cap for lam={lam}, alpha={alpha}: "
@@ -261,12 +263,12 @@ class AdaptiveController:
     shrink: float = 0.5
 
     def __post_init__(self):
-        if self.gamma_ryu <= 0 or self.gamma_current <= 0:
-            raise InputError("gamma_ryu and gamma_current must be positive")
+        if not (0 < self.gamma_ryu < math.inf and 0 < self.gamma_current < math.inf):
+            raise InputError("gamma_ryu and gamma_current must be positive and finite")
         if not 0 < self.shrink < 1:
             raise InputError("shrink factor must lie in (0, 1)")
-        if min(self.c0, self.c1) <= 0:
-            raise InputError("c0 and c1 must be positive")
+        if not (0 < self.c0 < math.inf and 0 < self.c1 < math.inf):
+            raise InputError("c0 and c1 must be positive and finite")
         self.gamma_current = max(self.gamma_current, self.floor)
 
     @property

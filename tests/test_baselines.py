@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -21,8 +23,9 @@ from trisplit.checks import convex_l1_problem, make_quadratic_problem
 
 class TestDysParams:
     def test_validation(self):
-        with pytest.raises(InputError):
-            DysParams(gamma=0.0)
+        for gamma in (0.0, math.inf, math.nan):
+            with pytest.raises(InputError, match="gamma must be positive and finite"):
+                DysParams(gamma=gamma)
         with pytest.raises(InputError):
             DysParams(gamma=0.1, lam=3.0)
 

@@ -34,6 +34,10 @@ class TestPlanCommand:
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert list(payload) == [
+            "l1",
+            "l2",
+            "lam",
+            "alpha",
             "alpha_bar",
             "eps1",
             "eps2",
@@ -41,6 +45,7 @@ class TestPlanCommand:
             "gbar1",
             "gbar2",
             "gbar3",
+            "gamma_upper",
             "gamma_ryu",
             "thm2_cap",
             "gamma_in_thm2_cap",
@@ -96,7 +101,7 @@ class TestSolveCommand:
         assert len(records) == iters
 
     def test_solve_gamma_override(self, capsys):
-        rc = cli.main(["solve", "--algo", "dys", *TINY, "--gamma-dys", "0.05"])
+        rc = cli.main(["solve", "--algo", "dys", *TINY, "--gamma", "0.05"])
         assert rc == 0
         assert "converged" in capsys.readouterr().out
 
@@ -257,7 +262,7 @@ class TestArgumentFuzzing:
         instance_args(),
         st.integers(-1, 20),
         flags(
-            optional=["--lam", "--alpha", "--lambda1", "--lambda2", "--tau", "--tol", "--proxgamma", "--gamma", "--gamma-dys"]
+            optional=["--lam", "--alpha", "--lambda1", "--lambda2", "--tau", "--tol", "--proxgamma", "--gamma"]
         ),
     )
     @settings(max_examples=300, deadline=None)
@@ -275,7 +280,7 @@ class TestArgumentFuzzing:
         st.integers(-1, 4),
         st.integers(-1, 5),
         flags(
-            optional=["--lam", "--alpha", "--lambda1", "--lambda2", "--tau", "--tol", "--proxgamma", "--gamma", "--gamma-dys"]
+            optional=["--lam", "--alpha", "--lambda1", "--lambda2", "--tau", "--tol", "--proxgamma", "--gamma"]
         ),
     )
     @settings(max_examples=200, deadline=None)
@@ -319,6 +324,17 @@ def test_extreme_input_in_bench_worker_threads_prints_only_the_error_line():
     assert len(lines) == 1 and lines[0].startswith("numerical failure: "), proc.stderr
 
 
+@pytest.mark.parametrize("algo", ["ryu", "ryu+"])
+def test_infinite_gamma_is_an_input_error(algo):
+    # rejected before the stepsize-cap warning could print
+    proc = run_cli_subprocess(
+        "solve", "--algo", algo, "--n", "12", "--s", "40", "--rank", "3", "--max-iter", "5", "--gamma=inf",
+    )
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("input error: ") and "positive and finite" in lines[0], proc.stderr
+
+
 def test_stepsize_cap_warning_still_prints():
     proc = run_cli_subprocess(
         "solve", "--algo", "ryu", "--n", "12", "--s", "40", "--rank", "3", "--gamma", "1", "--max-iter", "5",
@@ -331,3 +347,18 @@ def test_console_script_installed():
     proc = run_cli_subprocess("plan", "--l1", "1", "--l2", "1")
     assert proc.returncode == 0
     assert "gamma_ryu" in proc.stdout
+
+
+def test_runs_without_scipy():
+    # numpy is the only runtime dependency: with scipy unimportable, the
+    # package imports, plans and solves
+    code = (
+        "import sys; sys.modules['scipy'] = None\n"
+        "import trisplit\n"
+        "from trisplit import cli\n"
+        "assert cli.main(['plan', '--l1', '10', '--l2', '1']) == 0\n"
+        "assert cli.main(['solve', '--algo', 'ryu+', '--n', '12', '--s', '40', '--rank', '3', '--max-iter', '5']) == 0\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "gamma_ryu" in proc.stdout and "algo=ryu+" in proc.stdout

@@ -46,8 +46,9 @@ from trisplit.splitting import TRACE_COLUMNS, smooth_prox
 
 class TestParams:
     def test_relaxation_params_validation(self):
-        with pytest.raises(InputError):
-            RelaxationParams(gamma=0.0)
+        for gamma in (0.0, math.inf, math.nan):
+            with pytest.raises(InputError, match="gamma must be positive and finite"):
+                RelaxationParams(gamma=gamma)
         with pytest.raises(InputError):
             RelaxationParams(gamma=0.1, lam=2.5)
         with pytest.raises(InputError):

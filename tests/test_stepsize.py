@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 from trisplit import (
     AdaptiveController,
     InputError,
+    NumericalError,
     alpha_lower_bound,
     gamma_bounds,
     plan,
 )
-from trisplit.stepsize import eps1_interval, eps2_lower, eps2_star, optimize_epsilons
+from trisplit.stepsize import _bisect, eps1_interval, eps2_lower, eps2_star, optimize_epsilons
 
 lams = st.floats(0.05, 1.95, allow_nan=False)
 lips = st.floats(0.5, 10.0, allow_nan=False)
@@ -92,20 +93,23 @@ class TestPlan:
         assert p.thm2_cap == pytest.approx(0.01)
         assert p.gamma_in_thm2_cap
 
-    def test_as_dict_has_exact_keys(self):
-        p = plan(2.0, 3.0, lam=1.2, alpha=0.9)
-        assert list(p.as_dict()) == [
-            "alpha_bar",
-            "eps1",
-            "eps2",
-            "gbar0",
-            "gbar1",
-            "gbar2",
-            "gbar3",
-            "gamma_ryu",
-            "thm2_cap",
-            "gamma_in_thm2_cap",
-        ]
+    @pytest.mark.parametrize(
+        "args, eps1, eps2, gamma_ryu, gamma_upper",
+        [
+            ((10.0, 1.0, 1.0, 0.99), "0x1.8da51339becf6p+6", "0x1.ffe550686b845p-1", "0x1.3ddcf7ac212f5p-8", "0x1.4112eaa8b2540p-8"),
+            ((2.0, 3.0, 1.2, 0.9), "0x1.eff1778c6311ap+2", "0x1.2d820fd81b972p+1", "0x1.22ad06d037e32p-7", "0x1.259cac608b330p-7"),
+        ],
+    )
+    def test_pinned_bits(self, args, eps1, eps2, gamma_ryu, gamma_upper):
+        # the planner's output bits, pinned so that a change of its arithmetic shows
+        p = plan(*args)
+        assert [p.eps1.hex(), p.eps2.hex(), p.gamma_ryu.hex(), p.gamma_upper.hex()] == [eps1, eps2, gamma_ryu, gamma_upper]
+
+    def test_bisection_failures_are_numerical_errors(self):
+        with pytest.raises(NumericalError, match="NaN"):
+            _bisect(lambda x: math.nan, 0.0, 1.0, -1.0, 1.0)
+        with pytest.raises(NumericalError, match="200 halvings"):
+            _bisect(lambda x: 1.0, 0.0, 1e300, -1.0, 1.0)
 
     @given(lams, st.floats(0.05, 0.95), lips, lips)
     @settings(max_examples=80, deadline=None)
@@ -199,6 +203,10 @@ class TestAdaptiveController:
             AdaptiveController(gamma_ryu=1.0, gamma_current=1.0, shrink=1.5)
         with pytest.raises(InputError):
             AdaptiveController(gamma_ryu=1.0, gamma_current=1.0, c0=-1.0)
+        for bad in (math.nan, math.inf):
+            for name in ("gamma_ryu", "gamma_current", "c0", "c1"):
+                with pytest.raises(InputError, match="positive and finite"):
+                    AdaptiveController(**{"gamma_ryu": 1.0, "gamma_current": 1.0, name: bad})
         c = AdaptiveController(gamma_ryu=1.0, gamma_current=2.0)
         with pytest.raises(InputError):
             c.update(k=0, dx1_norm=0, dx2_norm=0, x1_norm=0, x2_norm=0)
