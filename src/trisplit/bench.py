@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -315,26 +314,17 @@ def run_benchmark(
 ) -> list[RunReport]:
     """The full benchmark protocol: every (size, seed, algorithm) combination.
 
-    Runs are independent and deterministic per (seed, algo, overrides), so
-    the result does not depend on the parallel schedule; `jobs` bounds the
-    worker threads. Every run uses the numpy error state of the call, also
-    in worker threads, which start from numpy's defaults.
+    `jobs` is the most tasks that may run at once; this version runs them
+    one at a time, in task order, in the calling thread, so every run uses
+    the caller's numpy error state and `warnings` filters. Runs are
+    deterministic per (seed, algo, overrides), so the reports do not depend
+    on `jobs`.
     """
-    errstate = np.geterr()
-    tasks = [
-        (n, s, seed, algo)
+    if not jobs >= 1:
+        raise InputError(f"jobs must be at least 1, got {jobs}")
+    return [
+        run_experiment(generate_instance(n, n, r, s, seed, lam1=lam1, lam2=lam2, tau=tau), algo, **overrides)
         for (n, s) in sizes
         for seed in seeds
         for algo in algos
     ]
-
-    def one(task):
-        n, s, seed, algo = task
-        with np.errstate(**errstate):
-            inst = generate_instance(n, n, r, s, seed, lam1=lam1, lam2=lam2, tau=tau)
-            return run_experiment(inst, algo, **overrides)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(one, tasks))
-    return [one(t) for t in tasks]

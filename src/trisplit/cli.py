@@ -91,7 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bench.add_argument("--algos", nargs="+", choices=ALGOS, default=list(ALGOS))
     p_bench.add_argument("--rank", type=int, default=10)
-    p_bench.add_argument("--jobs", type=int, default=1, help="worker threads")
     p_bench.add_argument(
         "--outdir", default=None, help="write traces, summary.csv and reports.json here"
     )
@@ -147,7 +146,6 @@ def cmd_bench(args) -> int:
         lam1=args.lambda1,
         lam2=args.lambda2,
         tau=args.tau,
-        jobs=args.jobs,
         lam=args.lam,
         alpha=args.alpha,
         gamma=args.gamma,

@@ -221,6 +221,8 @@ class CompositeProblem:
                 raise InputError(f"{name}.lipschitz must be positive, got {lipschitz}")
             if not t.convex:
                 raise InputError(f"{name} must be convex for this method")
+        if not isinstance(self.f3, ProxTerm):
+            raise InputError(f"f3 must be a prox term, but {type(self.f3).__name__} is not a ProxTerm")
 
     @property
     def dim(self) -> int:

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import math
+import threading
 
 import numpy as np
 import numpy.testing as npt
@@ -192,6 +193,30 @@ class TestRunBenchmark:
         parallel = run_benchmark(jobs=2, **kw)
         assert [(r.seed, r.algo) for r in serial] == [(seed, algo) for seed in (0, 1) for algo in ALGOS]
         assert [bitwise(r) for r in parallel] == [bitwise(r) for r in serial]
+
+    @pytest.mark.parametrize("jobs", [0, -3, math.nan])
+    def test_rejects_jobs_below_one(self, jobs):
+        with pytest.raises(InputError, match="jobs"):
+            run_benchmark(sizes=[(12, 30)], seeds=[0], algos=["dys"], r=3, jobs=jobs, stop=SMALL_STOP)
+
+    def test_tasks_run_in_the_calling_thread(self, monkeypatch):
+        threads = []
+
+        def spy(*args, **kwargs):
+            threads.append(threading.get_ident())
+            return run_experiment(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "run_experiment", spy)
+        run_benchmark(sizes=[(12, 30)], seeds=[0, 1], algos=ALGOS, r=3, jobs=2, stop=StoppingRule(max_iter=2))
+        assert threads == [threading.get_ident()] * 2 * len(ALGOS)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_stepsize_cap_warning_reaches_the_caller(self, jobs):
+        with pytest.warns(RuntimeWarning, match="exceeds min"):
+            run_benchmark(
+                sizes=[(12, 30)], seeds=[0], algos=["ryu"], r=3, jobs=jobs,
+                gamma=0.05, stop=StoppingRule(max_iter=2),
+            )
 
 
 def bitwise(obj):

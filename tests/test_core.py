@@ -132,6 +132,14 @@ class TestCompositeProblem:
         with pytest.raises(InputError, match=rf"^{slot} .*lipschitz"):
             CompositeProblem(**terms, f3=ZeroProxTerm(), shape=(2,))
 
+    @pytest.mark.parametrize(
+        "f3", [QuadraticTerm(matrix=np.eye(3), center=np.zeros(3)), None], ids=["QuadraticTerm", "None"]
+    )
+    def test_rejects_non_prox_term_in_f3_slot(self, f3):
+        good = QuadraticTerm(matrix=np.eye(3), center=np.zeros(3))
+        with pytest.raises(InputError, match=rf"^f3 .*{type(f3).__name__}"):
+            CompositeProblem(f1=good, f2=good, f3=f3, shape=(3,))
+
     def test_check_shape(self):
         p = CompositeProblem(
             f1=QuadraticTerm(matrix=np.eye(2), center=np.zeros(2)),
