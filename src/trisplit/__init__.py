@@ -58,7 +58,7 @@ from .stepsize import (
     optimize_epsilons,
     plan,
 )
-from .baselines import DysParams, DysState, dys_step, run_dys
+from .baselines import DysParams, DysState, run_dys
 from .bench import (
     CompletionInstance,
     RunReport,

@@ -17,9 +17,9 @@ import math
 from dataclasses import dataclass
 
 from .core import CompositeProblem, InputError, RealVector
-from .splitting import IterRecord, StoppingRule, _dist, _iterate, _objective, _relax, smooth_prox
+from .splitting import IterRecord, StoppingRule, _dist, _iterate, _objective, _relax
 
-__all__ = ["DysParams", "DysState", "dys_step", "run_dys"]
+__all__ = ["DysParams", "DysState", "run_dys"]
 
 
 @dataclass(frozen=True)
@@ -55,20 +55,10 @@ def _check_gamma(p: CompositeProblem, params: DysParams) -> None:
 
 def _make_state(p: CompositeProblem, params: DysParams, z: RealVector, k: int) -> DysState:
     gamma = params.gamma
-    x_f = smooth_prox(p.f2, gamma, z)
+    x_f = p.f2.prox(gamma, z)
     anchor = 2.0 * x_f.data - z.data - gamma * p.f1.grad(x_f).data
     x_g, f3v = p.f3.prox_with_value(gamma, z.with_data(anchor))
     return DysState(z=z, x_f=x_f, x_g=x_g, f3_at_xg=f3v, k=k)
-
-
-def dys_step(
-    p: CompositeProblem, params: DysParams, z: RealVector
-) -> tuple[RealVector, RealVector, RealVector]:
-    """One iteration from z; returns (z_plus, x_f, x_g)."""
-    p.check_shape(z, "z")
-    _check_gamma(p, params)
-    s = _make_state(p, params, z, k=0)
-    return _relax(params.lam, z, s.x_g, s.x_f, "z became non-finite at iteration 1"), s.x_f, s.x_g
 
 
 def run_dys(

@@ -79,6 +79,8 @@ def generate_instance(
     tau: float = 100.0,
 ) -> CompletionInstance:
     """Rank-r Gaussian product target plus a uniform observation mask."""
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise InputError(f"seed must be a non-negative integer, got {seed!r}")
     if not 1 <= r <= min(m, n):
         raise InputError(f"need 1 <= r <= min(m, n), got r={r}, m={m}, n={n}")
     if not 1 <= s <= m * n:
@@ -175,17 +177,13 @@ def run_experiment(
     gdys = default_gamma_dys(L1, L2)
 
     diverged = False
-    controller = None
     try:
         if algo == "dys":
             g = gamma if gamma is not None else gdys
-            params = DysParams(gamma=g, lam=lam)
-            state, trace = run_dys(p, params, stop=stop)
-            final_x = state.x_g
-            final_f3 = state.f3_at_xg
-            final_gamma = g
+            state, trace = run_dys(p, DysParams(gamma=g, lam=lam), stop=stop)
         else:
             sp = plan(L1, L2, lam, alpha)
+            controller = None
             if algo == "ryu":
                 g = gamma if gamma is not None else sp.gamma_ryu
             else:
@@ -195,29 +193,22 @@ def run_experiment(
             params = RelaxationParams(gamma=g, lam=lam, alpha=alpha)
             _warn_if_beyond_thm2_cap(controller.floor if controller else g, sp.thm2_cap)
             state, trace = run_ryu(p, params, stop=stop, controller=controller)
-            final_x = state.x3
-            final_f3 = state.f3_at_x3
-            final_gamma = trace[-1].gamma if trace else g
     except DivergenceError as err:
-        diverged = True
-        trace = list(getattr(err, "trace", ()))
-        state = None
-        final_gamma = trace[-1].gamma if trace else (controller.gamma_current if controller else g)
+        trace, diverged = list(err.trace), True
 
     if trace:
-        objective = trace[-1].objective
-        residual = trace[-1].residual
-        time_ms = trace[-1].time_ms
-    elif state is not None:
-        objective = _objective(p, final_x, final_f3)
-        residual = composite_residual(p, stop.prox_gamma, final_x)
-        time_ms = 0.0
+        last = trace[-1]
+        g, iterations, time_ms = last.gamma, last.k, last.time_ms
+        objective, residual = last.objective, last.residual
     else:
-        objective = math.inf
-        residual = math.inf
-        time_ms = 0.0
+        iterations, time_ms = 0, 0.0
+        if diverged:  # the first step diverged
+            objective = residual = math.inf
+        else:  # the start already meets the tolerance
+            x, f3x = (state.x_g, state.f3_at_xg) if algo == "dys" else (state.x3, state.f3_at_x3)
+            objective = _objective(p, x, f3x)
+            residual = composite_residual(p, stop.prox_gamma, x)
 
-    iterations = trace[-1].k if trace else 0
     converged = (not diverged) and residual < stop.tol
     return RunReport(
         algo=algo,
@@ -225,7 +216,7 @@ def run_experiment(
         n=inst.n,
         s=inst.s,
         seed=inst.seed,
-        gamma=final_gamma,
+        gamma=g,
         iterations=iterations,
         time_ms=time_ms,
         objective=objective,

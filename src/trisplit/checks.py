@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .baselines import DysParams, dys_step, run_dys
+from .baselines import DysParams, run_dys
 from .bench import build_problem, generate_instance
 from .core import CompositeProblem, RealVector, evaluate_objective, gradient_check, lipschitz_probe
 from .proxlib import (
@@ -361,15 +361,24 @@ def check_dys_transcription():
     f = QuadraticTerm(np.eye(d), np.zeros(d))
     p = CompositeProblem(f1=f, f2=f, f3=ScaledL1Term(0.5), shape=(d,))
     params = DysParams(gamma=0.4, lam=1.0)
-    z = RealVector(np.full(d, 2.0))
-    z_plus, x_f, x_g = dys_step(p, params, z)
-    x_f_ref = z.data / 1.4
-    anchor = 2 * x_f_ref - z.data - 0.4 * x_f_ref
-    x_g_ref = np.sign(anchor) * np.maximum(np.abs(anchor) - 0.4 * 0.5, 0.0)
-    assert np.allclose(x_f.data, x_f_ref, atol=1e-12)
-    assert np.allclose(x_g.data, x_g_ref, atol=1e-12)
-    assert np.allclose(z_plus.data, z.data + x_g_ref - x_f_ref, atol=1e-12)
-    state, _ = run_dys(p, params, z, StoppingRule(tol=1e-9, max_iter=5000))
+
+    def points(z):
+        """x_f and x_g written out for f1 = f2 = ||x||^2/2, f3 = 0.5 ||x||_1, gamma = 0.4."""
+        x_f = z / 1.4
+        anchor = 2 * x_f - z - 0.4 * x_f
+        return x_f, np.sign(anchor) * np.maximum(np.abs(anchor) - 0.4 * 0.5, 0.0)
+
+    z = np.full(d, 2.0)
+    x_f, x_g = points(z)
+    z_plus = z + x_g - x_f
+    x_f_plus, x_g_plus = points(z_plus)
+    state, trace = run_dys(p, params, RealVector(z), StoppingRule(tol=1e-12, max_iter=1))
+    assert [r.k for r in trace] == [1]
+    assert np.allclose(state.z.data, z_plus, atol=1e-12)
+    assert np.allclose(state.x_f.data, x_f_plus, atol=1e-12)
+    assert np.allclose(state.x_g.data, x_g_plus, atol=1e-12)
+    assert math.isclose(trace[0].dx1, np.linalg.norm(x_f_plus - x_f), rel_tol=1e-12)
+    state, _ = run_dys(p, params, RealVector(z), StoppingRule(tol=1e-9, max_iter=5000))
     assert composite_residual(p, 5e-3, state.x_g) < 1e-9
 
 

@@ -1,8 +1,8 @@
 """Command-line interface: solve one instance, print a stepsize plan,
 reproduce the benchmark table, or run the diagnostic suite.
 
-Exit codes: 0 success, 1 invariant/diagnostic failure, 2 input error,
-3 numerical failure.
+Exit codes: 0 success, 1 invariant/diagnostic failure, 2 input error
+(including an output path that cannot be written), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .bench import (
 from .checks import run_all_checks
 from .core import InputError
 from .splitting import StoppingRule, write_trace_csv, write_trace_json
-from .stepsize import PlanInfeasibleError, plan
+from .stepsize import plan
 
 
 def _parse_sizes(text: str) -> list[tuple[int, int]]:
@@ -182,7 +182,7 @@ def main(argv=None) -> int:
         # of the error line below; non-finite results raise errors anyway.
         with np.errstate(all="ignore"):
             return args.func(args)
-    except (InputError, PlanInfeasibleError) as exc:
+    except (InputError, OSError) as exc:  # OSError: an output path that cannot be written
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:  # NumericalError, ZeroDivisionError, OverflowError

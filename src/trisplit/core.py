@@ -145,8 +145,9 @@ class SmoothTerm:
     """Differentiable term with an L-Lipschitz gradient.
 
     Subclasses set `lipschitz` (any valid upper bound on the gradient's
-    Lipschitz modulus) and `convex`, and implement `value` and `grad`.
-    Oracles must be pure functions of their inputs.
+    Lipschitz modulus) and `convex`, implement `value` and `grad`, and
+    override `prox` where it has a closed form. Oracles must be pure
+    functions of their inputs.
     """
 
     lipschitz: float = 1.0
@@ -158,10 +159,30 @@ class SmoothTerm:
     def grad(self, x: RealVector) -> RealVector:
         raise NotImplementedError
 
+    def prox(self, gamma: float, z: RealVector) -> RealVector:
+        """prox_{gamma f}(z) by gradient descent, for terms without a closed form.
+
+        The subproblem f(u) + ||u - z||^2/(2 gamma) is strongly convex
+        (1/gamma-strongly, (1/gamma + L)-smooth) and is solved with the fixed
+        step 1/(1/gamma + L) to relative tolerance 1e-12; NumericalError if
+        10000 steps do not reach it.
+        """
+        if gamma <= 0:
+            raise InputError("gamma must be positive")
+        step = 1.0 / (1.0 / gamma + self.lipschitz)
+        u = z.data
+        for _ in range(10000):
+            g = self.grad(z.with_data(u)).data + (u - z.data) / gamma
+            nxt = u - step * g
+            if np.linalg.norm(nxt - u) <= 1e-12 * (1.0 + np.linalg.norm(nxt)):
+                return z.with_data(nxt)
+            u = nxt
+        raise NumericalError("smooth prox by gradient descent did not reach tolerance 1e-12 in 10000 steps")
+
 
 @dataclass(frozen=True)
 class CallableSmoothTerm(SmoothTerm):
-    """Smooth term built from plain callables (handy for tests and the CLI)."""
+    """Smooth term built from plain callables; its prox is the gradient-descent fallback."""
 
     value_fn: Callable[[RealVector], float] = None
     grad_fn: Callable[[RealVector], RealVector] = None
@@ -212,13 +233,13 @@ class CompositeProblem:
     def __post_init__(self):
         object.__setattr__(self, "shape", _normalize_shape(self.shape))
         for name, t in (("f1", self.f1), ("f2", self.f2)):
-            lipschitz = getattr(t, "lipschitz", None)
-            if lipschitz is None:
+            if not isinstance(t, SmoothTerm):
                 raise InputError(
-                    f"{name} must be a smooth term, but {type(t).__name__} has no `lipschitz` modulus"
+                    f"{name} must be a smooth term with a `lipschitz` modulus, "
+                    f"but {type(t).__name__} is not a SmoothTerm"
                 )
-            if not (lipschitz > 0):
-                raise InputError(f"{name}.lipschitz must be positive, got {lipschitz}")
+            if not (t.lipschitz > 0):
+                raise InputError(f"{name}.lipschitz must be positive, got {t.lipschitz}")
             if not t.convex:
                 raise InputError(f"{name} must be convex for this method")
         if not isinstance(self.f3, ProxTerm):

@@ -39,7 +39,6 @@ from .core import (
     InputError,
     NumericalError,
     RealVector,
-    SmoothTerm,
 )
 from .stepsize import _validate_moduli
 
@@ -50,7 +49,6 @@ __all__ = [
     "IterRecord",
     "DescentConstants",
     "StoppingRule",
-    "smooth_prox",
     "make_state",
     "ryu_step",
     "ryu_envelope",
@@ -67,7 +65,7 @@ __all__ = [
 ]
 
 
-class EnvelopeUndefinedError(ValueError):
+class EnvelopeUndefinedError(InputError):
     """The envelope needs alpha < 1; at alpha = 1 the second proximal weight is infinite."""
 
 
@@ -160,32 +158,8 @@ class StoppingRule:
             raise InputError(f"prox_gamma must be positive and finite, got {self.prox_gamma}")
         if not 0 < self.tol < math.inf:
             raise InputError(f"tol must be positive and finite, got {self.tol}")
-        if self.max_iter < 1:
-            raise InputError("max_iter must be >= 1")
-
-
-def smooth_prox(t: SmoothTerm, gamma: float, z: RealVector) -> RealVector:
-    """prox_{gamma t}(z), via the term's closed form when available.
-
-    Without a closed form the subproblem t(u) + ||u - z||^2/(2 gamma) is
-    strongly convex (1/gamma-strongly, (1/gamma + L)-smooth) and is solved by
-    gradient descent with the fixed step 1/(1/gamma + L) to relative
-    tolerance 1e-12; NumericalError if 10000 inner iterations do not reach it.
-    """
-    if gamma <= 0:
-        raise InputError("gamma must be positive")
-    closed = getattr(t, "prox", None)
-    if closed is not None:
-        return closed(gamma, z)
-    step = 1.0 / (1.0 / gamma + t.lipschitz)
-    u = z.data
-    for _ in range(10000):
-        g = t.grad(z.with_data(u)).data + (u - z.data) / gamma
-        nxt = u - step * g
-        if np.linalg.norm(nxt - u) <= 1e-12 * (1.0 + np.linalg.norm(nxt)):
-            return z.with_data(nxt)
-        u = nxt
-    raise NumericalError("smooth prox by gradient descent did not reach tolerance 1e-12 in 10000 steps")
+        if not (isinstance(self.max_iter, (int, np.integer)) and self.max_iter >= 1):
+            raise InputError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
 
 
 def _dist(a: RealVector, b: RealVector) -> float:
@@ -210,8 +184,8 @@ def _smooth_points(
     p.check_shape(z1, "z1")
     p.check_shape(z2, "z2")
     gamma, alpha = params.gamma, params.alpha
-    x1 = smooth_prox(p.f1, gamma, z1)
-    x2 = smooth_prox(p.f2, gamma / alpha, z2.with_data(z2.data / alpha + x1.data))
+    x1 = p.f1.prox(gamma, z1)
+    x2 = p.f2.prox(gamma / alpha, z2.with_data(z2.data / alpha + x1.data))
     return x1, x2
 
 
@@ -361,8 +335,7 @@ def descent_constants(
     _validate_moduli(L1, L2)
     if not (eps1 > 0 and eps2 > 0):
         raise InputError("eps1 and eps2 must be positive")
-    if params.alpha >= 1.0:
-        raise EnvelopeUndefinedError("descent constants require alpha < 1")
+    _require_envelope(params)
     g, lam, a = params.gamma, params.lam, params.alpha
     C0 = 1.0 / (2.0 * L1) - g / lam
     C1 = 1.0 / (2.0 * L2) - g / lam - a / (2.0 * lam * eps2)
@@ -449,9 +422,10 @@ def _iterate(p: CompositeProblem, stop: StoppingRule, state, point: str, step, a
     `point` names the state attribute the composite residual is taken at.
     `step(state)` returns the next state, whose `k` is one higher, and the
     remaining IterRecord fields; the loop adds k, residual and time_ms. It
-    stops when the residual drops below tol or after max_iter steps, and
-    otherwise hands each new state and its record to `after`, which returns
-    the state to continue from. Returns the final state and the records.
+    stops when the residual drops below tol or after max_iter steps. Before
+    every step but the first it hands the current state and its record to
+    `after`, which returns the state to continue from. Returns the final
+    state and the records.
 
     A non-finite objective or residual is divergence. On divergence the
     records so far are attached to the DivergenceError as `.trace`.
@@ -461,7 +435,9 @@ def _iterate(p: CompositeProblem, stop: StoppingRule, state, point: str, step, a
         return state, records
     t0 = time.perf_counter()
     try:
-        for _ in range(stop.max_iter):
+        for i in range(stop.max_iter):
+            if i and after is not None:
+                state = after(state, records[-1])
             nxt, fields = step(state)
             rec = IterRecord(
                 k=nxt.k,
@@ -475,8 +451,6 @@ def _iterate(p: CompositeProblem, stop: StoppingRule, state, point: str, step, a
             state = nxt
             if rec.residual < stop.tol:
                 break
-            if after is not None:
-                state = after(state, rec)
     except DivergenceError as err:
         err.trace = tuple(records)
         raise
@@ -496,8 +470,8 @@ def run_ryu(
     Starts from z1 = z2 = 0 unless given. Envelope values are recorded
     exactly when alpha < 1, gamma < 1/(L1+L2) (strictly, so gamma f3 stays
     prox-bounded) and the dimension is at most 1e4; otherwise the envelope
-    field is None. `controller`, when given, may lower gamma after each
-    iteration (see the stepsize planner); shadow points are recomputed, and
+    field is None. `controller`, when given, may lower gamma between
+    iterations (see the stepsize planner); shadow points are recomputed, and
     the envelope rule re-applied, whenever it does.
 
     On divergence raises DivergenceError with the trace so far attached as

@@ -37,7 +37,7 @@ __all__ = [
 ]
 
 
-class PlanInfeasibleError(ValueError):
+class PlanInfeasibleError(InputError):
     """No admissible (eps1, eps2) pair could be constructed."""
 
 
@@ -250,10 +250,10 @@ class AdaptiveController:
     At iterate k >= 1, while gamma_current > gamma_ryu, the stepsize is cut
     to max(shrink * gamma_current, 0.99 * gamma_ryu) whenever the smaller
     shadow-point displacement exceeds c0/k or the smaller shadow-point norm
-    exceeds c1. gamma_current never drops below the floor 0.99 * gamma_ryu
-    (and is clamped up to it at construction), so it is nonincreasing over a
-    run and always ends in the certified-descent range after finitely many
-    cuts.
+    exceeds c1. It cuts only when one of these triggers fires, so a run can
+    end far above gamma_ryu. What holds is: gamma_current never increases,
+    never drops below the floor 0.99 * gamma_ryu, and is clamped up to that
+    floor at construction.
     """
 
     gamma_ryu: float

@@ -15,7 +15,6 @@ from trisplit import (
     StoppingRule,
     ZeroProxTerm,
     build_problem,
-    dys_step,
     run_dys,
 )
 from trisplit.checks import convex_l1_problem, make_quadratic_problem
@@ -41,19 +40,27 @@ class TestDysStep:
         )
         g, lam = 0.25, 1.1
         params = DysParams(gamma=g, lam=lam)
+
+        def points(z):
+            x_f = z / (1 + g)
+            return x_f, 2 * x_f - z - g * x_f  # identity prox of the zero term
+
         z = 1.4
-        x_f = z / (1 + g)
-        x_g = 2 * x_f - z - g * x_f  # identity prox of the zero term
-        z_plus, got_f, got_g = dys_step(prob, params, RealVector([z], (1,)))
-        assert got_f.data[0] == pytest.approx(x_f, rel=1e-15)
-        assert got_g.data[0] == pytest.approx(x_g, rel=1e-15)
-        assert z_plus.data[0] == pytest.approx(z + lam * (x_g - x_f), rel=1e-15)
+        x_f, x_g = points(z)
+        z_plus = z + lam * (x_g - x_f)
+        x_f_plus, x_g_plus = points(z_plus)
+        state, trace = run_dys(prob, params, RealVector([z], (1,)), StoppingRule(tol=1e-12, max_iter=1))
+        assert [r.k for r in trace] == [1]
+        assert state.z.data[0] == pytest.approx(z_plus, rel=1e-15)
+        assert state.x_f.data[0] == pytest.approx(x_f_plus, rel=1e-15)
+        assert state.x_g.data[0] == pytest.approx(x_g_plus, rel=1e-15)
+        assert trace[0].dz1 == pytest.approx(abs(z_plus - z), rel=1e-15)
+        assert trace[0].dx1 == pytest.approx(abs(x_f_plus - x_f), rel=1e-15)
+        assert trace[0].gap31 == pytest.approx(abs(x_g_plus - x_f_plus), rel=1e-15)
 
     def test_rejects_gamma_at_or_above_gradient_cap(self):
         prob, _ = convex_l1_problem(d=2, a=1.0, b=2.0)
         # the gradient slot holds f1, here with L = 1
-        with pytest.raises(InputError):
-            dys_step(prob, DysParams(gamma=1.0), prob.zeros())
         with pytest.raises(InputError):
             run_dys(prob, DysParams(gamma=1.0))
 

@@ -77,6 +77,12 @@ class TestInstanceGeneration:
         with pytest.raises(InputError):
             generate_instance(4, 4, 2, 17, seed=0)  # more samples than entries
 
+    def test_seed_must_be_a_non_negative_integer(self):
+        for seed in (-1, np.int64(-1), 1.5):
+            with pytest.raises(InputError, match="seed"):
+                generate_instance(4, 4, 2, 10, seed=seed)
+        assert generate_instance(4, 4, 2, 10, seed=2**70).seed == 2**70
+
     def test_build_problem_wires_terms(self):
         inst = generate_instance(**SMALL)
         p = build_problem(inst)

@@ -21,8 +21,9 @@ from hypothesis import strategies as st
 
 from trisplit import cli
 from trisplit.bench import ALGOS
-from trisplit.core import DivergenceError
-from trisplit.splitting import TRACE_COLUMNS
+from trisplit.core import DivergenceError, InputError
+from trisplit.splitting import TRACE_COLUMNS, EnvelopeUndefinedError
+from trisplit.stepsize import PlanInfeasibleError
 
 
 TINY = ["--n", "12", "--s", "40", "--rank", "3", "--seed", "7", "--max-iter", "4000"]
@@ -210,6 +211,38 @@ class TestExitCodes:
         assert rc == 3
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("numerical failure: ")
+
+    def test_negative_seed_exits_2(self, capsys):
+        rc = cli.main(["solve", "--algo", "dys", *TINY, "--seed", "-1"])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("input error: seed must be a non-negative integer")
+
+    def test_unwritable_trace_path_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "trace.csv"
+        rc = cli.main(["solve", "--algo", "dys", *TINY, "--max-iter", "5", "--trace", str(path)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("input error: ") and str(path) in err[0]
+
+    def test_bench_outdir_that_is_a_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "taken"
+        path.write_text("")
+        rc = cli.main(
+            ["bench", "--sizes", "12:40", "--seeds", "1", "--rank", "3", "--algos", "dys", "--max-iter", "5", "--outdir", str(path)]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("input error: ") and str(path) in err[0]
+
+    @pytest.mark.parametrize("error", [InputError, PlanInfeasibleError, EnvelopeUndefinedError, FileNotFoundError])
+    def test_input_error_classes_exit_2(self, error, monkeypatch, capsys):
+        def boom():
+            raise error("bad input")
+
+        monkeypatch.setattr(cli, "run_all_checks", boom)
+        assert cli.main(["check"]) == 2
+        assert capsys.readouterr().err == "input error: bad input\n"
 
     def test_numerical_failure_exits_3(self, monkeypatch, capsys):
         def boom():

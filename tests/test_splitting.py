@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 
@@ -14,6 +15,7 @@ from trisplit import (
     CallableSmoothTerm,
     CompositeProblem,
     DivergenceError,
+    DysParams,
     EnvelopeUndefinedError,
     InputError,
     NumericalError,
@@ -35,13 +37,14 @@ from trisplit import (
     run_ryu,
     ryu_envelope,
     ryu_envelope_moreau,
+    run_dys,
     ryu_step,
     state_envelope,
     write_trace_csv,
     write_trace_json,
 )
 from trisplit.checks import convex_l1_problem, make_quadratic_problem
-from trisplit.splitting import TRACE_COLUMNS, smooth_prox
+from trisplit.splitting import TRACE_COLUMNS
 
 
 class TestParams:
@@ -67,8 +70,9 @@ class TestParams:
             StoppingRule(prox_gamma=0.0)
         with pytest.raises(InputError):
             StoppingRule(tol=-1.0)
-        with pytest.raises(InputError):
-            StoppingRule(max_iter=0)
+        for bad in (0, 2.5, math.inf, math.nan):
+            with pytest.raises(InputError, match="max_iter"):
+                StoppingRule(max_iter=bad)
         for bad in (math.inf, math.nan):
             with pytest.raises(InputError, match="tol"):
                 StoppingRule(tol=bad)
@@ -126,7 +130,7 @@ class TestStepTranscription:
         )
         z = RealVector([0.5, 0.5], (2,))
         g = 0.7
-        out = smooth_prox(t, g, z)
+        out = t.prox(g, z)
         npt.assert_allclose(out.data, (z.data + g * c) / (1 + g), rtol=1e-9)
 
     def test_smooth_prox_gradient_fallback_fails_loudly(self):
@@ -139,7 +143,7 @@ class TestStepTranscription:
             lipschitz=100.0,
         )
         with pytest.raises(NumericalError):
-            smooth_prox(t, 100.0, RealVector([1.0, -2.0], (2,)))
+            t.prox(100.0, RealVector([1.0, -2.0], (2,)))
 
     def test_step_overflow_raises_divergence(self):
         prob = CompositeProblem(
@@ -367,20 +371,48 @@ class TestRunRyu:
         assert all(r.envelope is None for r in trace)
         assert (state.x3 - xstar).norm() < 1e-5
 
-    def test_controller_shrinks_gamma_and_trace_records_it(self):
+    @staticmethod
+    def cutting_run(stop):
+        """ryu from 50 gamma_ryu under a controller that cuts after every step until the floor."""
         prob, _ = convex_l1_problem(d=4, seed=8)
         pl = plan(prob.f1.lipschitz, prob.f2.lipschitz, lam=1.0, alpha=0.8)
         ctrl = AdaptiveController(
             gamma_ryu=pl.gamma_ryu, gamma_current=50.0 * pl.gamma_ryu, c0=1e-12
         )
         params = RelaxationParams(gamma=ctrl.gamma_current, lam=1.0, alpha=0.8)
-        _, trace = run_ryu(
-            prob, params, stop=StoppingRule(tol=1e-10, max_iter=200), controller=ctrl
-        )
+        state, trace = run_ryu(prob, params, stop=stop, controller=ctrl)
+        return prob, pl, ctrl, state, trace
+
+    def test_controller_shrinks_gamma_and_trace_records_it(self):
+        _, pl, ctrl, _, trace = self.cutting_run(StoppingRule(tol=1e-10, max_iter=200))
         gammas = [r.gamma for r in trace]
         assert all(b <= a for a, b in zip(gammas, gammas[1:]))
         assert gammas[-1] == pytest.approx(ctrl.floor)
         assert gammas[0] == pytest.approx(50.0 * pl.gamma_ryu)
+
+    def test_controller_is_not_consulted_after_the_last_iteration(self):
+        # a cut after the third and last step would return a state rebuilt at
+        # a stepsize that no iteration ran at
+        prob, _, ctrl, state, trace = self.cutting_run(StoppingRule(tol=1e-12, max_iter=3))
+        assert [r.k for r in trace] == [1, 2, 3]
+        assert ctrl.gamma_current == trace[-1].gamma
+        assert evaluate_objective(prob, state.x3) == pytest.approx(trace[-1].objective, rel=1e-12)
+
+    def test_solvers_reach_the_minimizer_through_the_fallback_prox(self):
+        # twins of f1 and f2 without a closed-form prox: ryu proxes both, and
+        # Davis-Yin proxes f2, through SmoothTerm.prox's gradient descent
+        prob, xstar = convex_l1_problem(d=4, seed=3)
+        twins = {
+            name: CallableSmoothTerm(value_fn=t.value, grad_fn=t.grad, lipschitz=t.lipschitz)
+            for name, t in (("f1", prob.f1), ("f2", prob.f2))
+        }
+        prob = dataclasses.replace(prob, **twins)
+        stop = StoppingRule(tol=1e-9, max_iter=50000)
+        pl = plan(prob.f1.lipschitz, prob.f2.lipschitz, lam=1.0, alpha=0.8)
+        state, _ = run_ryu(prob, RelaxationParams(gamma=pl.gamma_ryu, lam=1.0, alpha=0.8), stop=stop)
+        assert (state.x3 - xstar).norm() < 1e-6
+        state, _ = run_dys(prob, DysParams(gamma=0.9 / prob.f1.lipschitz), stop=stop)
+        assert (state.x_g - xstar).norm() < 1e-6
 
     def test_divergence_attaches_partial_trace(self, monkeypatch):
         prob, _ = convex_l1_problem(d=3, seed=1)
