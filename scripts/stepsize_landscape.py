@@ -21,27 +21,17 @@ from pathlib import Path
 
 import numpy as np
 
-from trisplit.stepsize import (
-    alpha_lower_bound,
-    eps1_interval,
-    eps2_lower,
-    gamma_bounds,
-    plan,
-)
+from trisplit import checks
+from trisplit.stepsize import alpha_lower_bound, gamma_bounds, plan
 
 
 def epsilon_grid(path, L1, L2, lam, alpha, side):
-    lo, hi = eps1_interval(lam, alpha)
-    inset = 1e-6 * (hi - lo)
-    elo = eps2_lower(L2, lam, alpha)
     sp = plan(L1, L2, lam, alpha)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["eps1", "eps2", "min_cap", "planner"])
-        for e1 in np.linspace(lo + inset, hi - inset, side):
-            for e2 in np.geomspace(elo * (1 + 1e-9) + 1e-12, elo * 50 + 10.0, side):
-                cap = min(gamma_bounds(L1, L2, lam, alpha, e1, e2)[1:])
-                w.writerow([f"{e1:.10g}", f"{e2:.10g}", f"{cap:.10g}", 0])
+        for e1, e2, cap in checks.epsilon_grid(L1, L2, lam, alpha, side):
+            w.writerow([f"{e1:.10g}", f"{e2:.10g}", f"{cap:.10g}", 0])
         ours = min(gamma_bounds(L1, L2, lam, alpha, sp.eps1, sp.eps2)[1:])
         w.writerow([f"{sp.eps1:.10g}", f"{sp.eps2:.10g}", f"{ours:.10g}", 1])
     return sp, ours

@@ -43,7 +43,7 @@ from .splitting import (
     ryu_step,
     state_envelope,
 )
-from .stepsize import StepsizePlan, alpha_lower_bound, eps1_interval, eps2_lower, plan
+from .stepsize import StepsizePlan, alpha_lower_bound, eps1_interval, eps2_lower, gamma_bounds, plan
 
 SMALL_BENCH = dict(m=12, n=9, r=3, s=40, seed=7)
 
@@ -76,20 +76,20 @@ def make_quadratic_problem(rng, d=8, l1=None, l2=None, f3="l1"):
     return CompositeProblem(f1=f1, f2=f2, f3=t3, shape=(d,))
 
 
-def convex_l1_problem(d, a=1.0, b=2.0, w=0.5, seed=0):
-    """1/2 a||x-p||^2 + 1/2 b||x-q||^2 + w||x||_1 with a closed-form minimizer."""
+def convex_l1_problem(d, seed=0):
+    """1/2 ||x-p||^2 + ||x-q||^2 + 0.5 ||x||_1, p and q drawn from `seed`, with a closed-form minimizer."""
     rng = np.random.default_rng(seed)
     p_ = rng.standard_normal(d) * 2
     q_ = rng.standard_normal(d) * 2
     prob = CompositeProblem(
-        f1=QuadraticTerm(matrix=a * np.eye(d), center=p_),
-        f2=QuadraticTerm(matrix=b * np.eye(d), center=q_),
-        f3=ScaledL1Term(weight=w),
+        f1=QuadraticTerm(matrix=np.eye(d), center=p_),
+        f2=QuadraticTerm(matrix=2.0 * np.eye(d), center=q_),
+        f3=ScaledL1Term(weight=0.5),
         shape=(d,),
     )
     # soft threshold written out, not proxlib's: this is the reference value
-    c = (a * p_ + b * q_) / (a + b)
-    xstar = np.sign(c) * np.maximum(np.abs(c) - w / (a + b), 0.0)
+    c = (p_ + 2.0 * q_) / 3.0
+    xstar = np.sign(c) * np.maximum(np.abs(c) - 0.5 / 3.0, 0.0)
     return prob, RealVector(xstar, (d,))
 
 
@@ -211,6 +211,18 @@ def nonneg_prox_error(rng, probes):
         )
         worst = max(worst, abs(got - ref))
     return worst
+
+
+def epsilon_grid(L1, L2, lam, alpha, side):
+    """Yield (eps1, eps2, min{gbar1, gbar2, gbar3}) over a side x side grid:
+    eps1 (the outer loop) linear on I1 inset by 1e-6 of its width, eps2 geometric on I2."""
+    lo, hi = eps1_interval(lam, alpha)
+    inset = 1e-6 * (hi - lo)
+    elo = eps2_lower(L2, lam, alpha)
+    eps2s = np.geomspace(elo * (1.0 + 1e-9) + 1e-12, elo * 50.0 + 10.0, side)
+    for e1 in np.linspace(lo + inset, hi - inset, side):
+        for e2 in eps2s:
+            yield e1, e2, min(gamma_bounds(L1, L2, lam, alpha, e1, e2)[1:])
 
 
 def plan_admissible(sp: StepsizePlan) -> bool:
@@ -396,14 +408,14 @@ ALL_CHECKS = (
 )
 
 
-def run_all_checks(out=print) -> bool:
+def run_all_checks() -> bool:
     ok = True
     for name, fn in ALL_CHECKS:
         try:
             fn()
         except AssertionError as exc:
             ok = False
-            out(f"FAIL {name}: {exc}")
+            print(f"FAIL {name}: {exc}")
         else:
-            out(f"PASS {name}")
+            print(f"PASS {name}")
     return ok

@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 invariant/diagnostic failure, 2 input error
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
@@ -121,7 +122,11 @@ def cmd_solve(args) -> int:
         lam1=args.lambda1, lam2=args.lambda2, tau=args.tau,
     )
     stop = StoppingRule(prox_gamma=args.proxgamma, tol=args.tol, max_iter=args.max_iter)
-    rep = run_experiment(inst, args.algo, lam=args.lam, alpha=args.alpha, gamma=args.gamma, stop=stop)
+    # open the trace file before solving, so an unwritable path costs no solve
+    with open(args.trace, "w", newline="") if args.trace else contextlib.nullcontext() as fh:
+        rep = run_experiment(inst, args.algo, lam=args.lam, alpha=args.alpha, gamma=args.gamma, stop=stop)
+        if fh:
+            (write_trace_json if args.format == "json" else write_trace_csv)(fh, rep.trace)
     status = "diverged" if rep.diverged else ("converged" if rep.converged else "capped")
     print(
         f"algo={rep.algo} n={rep.n} s={rep.s} seed={rep.seed} {status} "
@@ -129,8 +134,6 @@ def cmd_solve(args) -> int:
         f"residual={rep.residual:.3e} time_ms={rep.time_ms:.1f}"
     )
     if args.trace:
-        writer = write_trace_json if args.format == "json" else write_trace_csv
-        writer(args.trace, rep.trace)
         print(f"trace written to {args.trace}")
     return 3 if rep.diverged else 0
 
@@ -156,7 +159,8 @@ def cmd_bench(args) -> int:
     if args.outdir:
         for rep in reports:
             name = trace_filename(rep.algo, rep.m, rep.n, rep.s, rep.seed)
-            write_trace_csv(f"{args.outdir}/{name}", rep.trace)
+            with open(f"{args.outdir}/{name}", "w", newline="") as fh:
+                write_trace_csv(fh, rep.trace)
         path = f"{args.outdir}/summary.csv"
         write_summary_csv(path, rows)
         print(f"summary written to {path}")

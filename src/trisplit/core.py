@@ -144,13 +144,13 @@ class RealVector:
 class SmoothTerm:
     """Differentiable term with an L-Lipschitz gradient.
 
-    Subclasses set `lipschitz` (any valid upper bound on the gradient's
-    Lipschitz modulus) and `convex`, implement `value` and `grad`, and
-    override `prox` where it has a closed form. Oracles must be pure
-    functions of their inputs.
+    Subclasses must set `lipschitz` (any valid upper bound on the gradient's
+    Lipschitz modulus; there is no default), may set `convex`, implement
+    `value` and `grad`, and override `prox` where it has a closed form.
+    Oracles must be pure functions of their inputs.
     """
 
-    lipschitz: float = 1.0
+    lipschitz: float
     convex: bool = True
 
     def value(self, x: RealVector) -> float:
@@ -184,9 +184,9 @@ class SmoothTerm:
 class CallableSmoothTerm(SmoothTerm):
     """Smooth term built from plain callables; its prox is the gradient-descent fallback."""
 
-    value_fn: Callable[[RealVector], float] = None
-    grad_fn: Callable[[RealVector], RealVector] = None
-    lipschitz: float = 1.0
+    value_fn: Callable[[RealVector], float]
+    grad_fn: Callable[[RealVector], RealVector]
+    lipschitz: float
     convex: bool = True
 
     def value(self, x: RealVector) -> float:
@@ -215,11 +215,6 @@ class ProxTerm:
         p = self.prox(gamma, z)
         return p, self.value(p)
 
-    def moreau_envelope(self, gamma: float, z: RealVector) -> float:
-        """min_y f(y) + ||y - z||^2 / (2 gamma), evaluated at the prox point."""
-        p, fp = self.prox_with_value(gamma, z)
-        return fp + (p - z).norm() ** 2 / (2.0 * gamma)
-
 
 @dataclass(frozen=True)
 class CompositeProblem:
@@ -238,8 +233,9 @@ class CompositeProblem:
                     f"{name} must be a smooth term with a `lipschitz` modulus, "
                     f"but {type(t).__name__} is not a SmoothTerm"
                 )
-            if not (t.lipschitz > 0):
-                raise InputError(f"{name}.lipschitz must be positive, got {t.lipschitz}")
+            lipschitz = getattr(t, "lipschitz", None)  # there is no default to fall back on
+            if lipschitz is None or not lipschitz > 0:
+                raise InputError(f"{name} must state a positive `lipschitz` modulus, got {lipschitz}")
             if not t.convex:
                 raise InputError(f"{name} must be convex for this method")
         if not isinstance(self.f3, ProxTerm):
@@ -269,18 +265,16 @@ def evaluate_objective(p: CompositeProblem, x: RealVector) -> float:
     return smooth + v3
 
 
-def gradient_check(t: SmoothTerm, x: RealVector, h: float = 1e-6) -> float:
-    """Max relative error between central differences and the gradient oracle."""
-    if not h > 0:
-        raise InputError("h must be positive")
+def gradient_check(t: SmoothTerm, x: RealVector) -> float:
+    """Max relative error between central differences (step 1e-6) and the gradient oracle."""
+    h = 1e-6
     g = t.grad(x).data
-    base = np.asarray(x.data, dtype=np.float64)
     err = 0.0
-    for i in range(base.size):
-        e = np.zeros_like(base)
+    for i in range(x.dim):
+        e = np.zeros_like(x.data)
         e[i] = h
-        fp = t.value(x.with_data(base + e))
-        fm = t.value(x.with_data(base - e))
+        fp = t.value(x.with_data(x.data + e))
+        fm = t.value(x.with_data(x.data - e))
         cd = (fp - fm) / (2.0 * h)
         err = max(err, abs(cd - g[i]) / (1.0 + abs(g[i])))
     return err

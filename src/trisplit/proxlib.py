@@ -74,23 +74,19 @@ def prox_scalar_mcp(weight: float, tau: float, gamma: float, v):
     return out
 
 
-def brute_force_prox_1d(objective, lo: float, hi: float, steps: int = 2000) -> float:
+def brute_force_prox_1d(objective, lo: float, hi: float) -> float:
     """Grid minimization of a scalar objective with local ternary refinement.
 
-    Accurate to (hi - lo)/steps from the grid pass, then refined to 1e-8 on
-    the bracketing interval. Used purely as a certification oracle.
+    Accurate to (hi - lo)/2000 from a 2001-point grid pass, then refined to
+    1e-8 on the bracketing interval. `objective` must be vectorized (one value
+    per grid point, else InputError). Used purely as a certification oracle.
     """
     if not lo < hi:
         raise InputError("need lo < hi")
-    if steps < 1000:
-        raise InputError("need steps >= 1000")
-    xs = np.linspace(lo, hi, int(steps) + 1)
-    try:
-        fs = np.asarray(objective(xs), dtype=np.float64)
-        if fs.shape != xs.shape:
-            raise TypeError
-    except Exception:
-        fs = np.array([float(objective(t)) for t in xs])
+    xs = np.linspace(lo, hi, 2001)
+    fs = np.asarray(objective(xs), dtype=np.float64)
+    if fs.shape != xs.shape:
+        raise InputError(f"objective returned shape {fs.shape} on a {xs.shape} grid; it must be vectorized")
     i = int(np.argmin(fs))
     a = xs[max(i - 1, 0)]
     b = xs[min(i + 1, len(xs) - 1)]

@@ -29,7 +29,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, fields, replace
-from typing import Sequence
+from typing import Sequence, TextIO
 
 import numpy as np
 
@@ -272,7 +272,8 @@ def ryu_envelope_moreau(
     u1 = x1 - params.gamma1 * g1
     u2 = x2 - params.gamma2 * g2
     w = alpha * u1 + (1.0 - alpha) * u2
-    moreau = p.f3.moreau_envelope(gamma, w)
+    y, f3y = p.f3.prox_with_value(gamma, w)
+    moreau = f3y + (y - w).norm() ** 2 / (2.0 * gamma)
     corr = (
         float(p.f1.value(x1))
         - x1.dot(g1)
@@ -519,19 +520,18 @@ def run_ryu(
 TRACE_COLUMNS = tuple(f.name for f in fields(IterRecord))
 
 
-def write_trace_csv(path, records: Sequence[IterRecord]) -> None:
-    """One row per iteration; envelope written blank when not evaluated."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_COLUMNS)
-        for r in records:
-            row = [getattr(r, c) for c in TRACE_COLUMNS]
-            row[2] = "" if r.envelope is None else repr(r.envelope)
-            writer.writerow(row)
+def write_trace_csv(fh: TextIO, records: Sequence[IterRecord]) -> None:
+    """One row per iteration to a text file opened with newline=""; envelope
+    written blank when not evaluated."""
+    writer = csv.writer(fh)
+    writer.writerow(TRACE_COLUMNS)
+    for r in records:
+        row = [getattr(r, c) for c in TRACE_COLUMNS]
+        row[2] = "" if r.envelope is None else repr(r.envelope)
+        writer.writerow(row)
 
 
-def write_trace_json(path, records: Sequence[IterRecord]) -> None:
-    """Same fields as the CSV, as a JSON array of records (null envelope)."""
-    with open(path, "w") as fh:
-        json.dump([{c: getattr(r, c) for c in TRACE_COLUMNS} for r in records], fh, indent=1)
-        fh.write("\n")
+def write_trace_json(fh: TextIO, records: Sequence[IterRecord]) -> None:
+    """Same fields as the CSV to a text file, as a JSON array of records (null envelope)."""
+    json.dump([{c: getattr(r, c) for c in TRACE_COLUMNS} for r in records], fh, indent=1)
+    fh.write("\n")

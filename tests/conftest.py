@@ -1,10 +1,12 @@
-"""Shared fixtures (a seeded generator, a tiny completion instance) and the test order.
+"""Shared fixtures (a seeded generator, a tiny completion instance), the test
+order and the `protocol` marker.
 
 The problem builders live in `trisplit.checks`."""
 import numpy as np
 import pytest
 
 from trisplit import generate_instance
+from trisplit.checks import SMALL_BENCH
 
 
 @pytest.fixture
@@ -15,14 +17,18 @@ def rng():
 @pytest.fixture(scope="session")
 def tiny_instance():
     """12x9 rank-3 completion instance: big enough to exercise the SVD path."""
-    return generate_instance(12, 9, 3, 40, seed=7)
+    return generate_instance(**SMALL_BENCH)
 
 
 def pytest_collection_modifyitems(config, items):
     # Criteria 7-8 share the full 5-seed benchmark protocol, which takes about
-    # 15 minutes on a 2-core machine. Run them after every other test so the
-    # quick ones report first; the order within each group is kept.
-    items.sort(key=lambda item: "benchmark_reports" in item.fixturenames)
+    # 15 minutes on a 2-core machine. Mark them `protocol` (so `-m "not
+    # protocol"` runs everything else) and run them after every other test so
+    # the quick ones report first; the order within each group is kept.
+    for item in items:
+        if "benchmark_reports" in item.fixturenames:
+            item.add_marker(pytest.mark.protocol)
+    items.sort(key=lambda item: item.get_closest_marker("protocol") is not None)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

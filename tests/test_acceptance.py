@@ -25,6 +25,7 @@ from trisplit.bench import build_problem, generate_instance, run_benchmark
 from trisplit.checks import (
     convex_sanity_errors,
     envelope_form_gaps,
+    epsilon_grid,
     gradient_error,
     lipschitz_ratio,
     make_quadratic_problem,
@@ -36,7 +37,7 @@ from trisplit.checks import (
 from trisplit.core import RealVector
 from trisplit.proxlib import MaskedQuadraticTerm, NonnegDistanceTerm, ScaledL1Term, brute_force_prox_1d
 from trisplit.splitting import RelaxationParams, StoppingRule, descent_constants, make_state
-from trisplit.stepsize import alpha_lower_bound, eps1_interval, eps2_lower, gamma_bounds, plan
+from trisplit.stepsize import alpha_lower_bound, gamma_bounds, plan
 
 # criterion number -> (passed, one-line detail); consumed by the terminal summary
 ACCEPTANCE_RESULTS: dict[int, tuple[bool, str]] = {}
@@ -218,13 +219,7 @@ def test_criterion_06_stepsize_planner():
     worst_frac = math.inf
     for lam, alpha, l1, l2, sp in spots:
         ours = min(gamma_bounds(l1, l2, lam, alpha, sp.eps1, sp.eps2)[1:])
-        lo, hi = eps1_interval(lam, alpha)
-        inset = 1e-6 * (hi - lo)
-        elo = eps2_lower(l2, lam, alpha)
-        best = -math.inf
-        for e1 in np.linspace(lo + inset, hi - inset, 120):
-            for e2 in np.geomspace(elo * (1.0 + 1e-9) + 1e-12, elo * 50.0 + 10.0, 120):
-                best = max(best, min(gamma_bounds(l1, l2, lam, alpha, e1, e2)[1:]))
+        best = max(cap for _, _, cap in epsilon_grid(l1, l2, lam, alpha, 120))
         worst_frac = min(worst_frac, ours / best)
     elapsed = time.perf_counter() - t0
     ok = admissible == 10_000 and worst_frac >= 0.99 and elapsed < 60.0

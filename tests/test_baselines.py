@@ -59,7 +59,7 @@ class TestDysStep:
         assert trace[0].gap31 == pytest.approx(abs(x_g_plus - x_f_plus), rel=1e-15)
 
     def test_rejects_gamma_at_or_above_gradient_cap(self):
-        prob, _ = convex_l1_problem(d=2, a=1.0, b=2.0)
+        prob, _ = convex_l1_problem(d=2)
         # the gradient slot holds f1, here with L = 1
         with pytest.raises(InputError):
             run_dys(prob, DysParams(gamma=1.0))

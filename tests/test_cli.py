@@ -222,8 +222,10 @@ class TestExitCodes:
         path = tmp_path / "missing" / "trace.csv"
         rc = cli.main(["solve", "--algo", "dys", *TINY, "--max-iter", "5", "--trace", str(path)])
         assert rc == 2
-        err = capsys.readouterr().err.splitlines()
+        out, err = capsys.readouterr()
+        err = err.splitlines()
         assert len(err) == 1 and err[0].startswith("input error: ") and str(path) in err[0]
+        assert "algo=" not in out  # the path is opened before the solve, not after
 
     def test_bench_outdir_that_is_a_file_exits_2(self, tmp_path, capsys):
         path = tmp_path / "taken"

@@ -15,6 +15,7 @@ from trisplit import (
     QuadraticTerm,
     RealVector,
     ScaledL1Term,
+    SmoothTerm,
     ZeroProxTerm,
     evaluate_objective,
     gradient_check,
@@ -124,6 +125,24 @@ class TestCompositeProblem:
         good = QuadraticTerm(matrix=np.eye(2), center=np.zeros(2))
         with pytest.raises(InputError):
             CompositeProblem(f1=t, f2=good, f3=ZeroProxTerm(), shape=(2,))
+
+    @pytest.mark.parametrize("slot", ["f1", "f2"])
+    def test_rejects_smooth_term_without_a_modulus(self, slot):
+        class NoModulus(SmoothTerm):
+            def value(self, x):
+                return 0.5 * x.norm() ** 2
+
+            def grad(self, x):
+                return x
+
+        good = QuadraticTerm(matrix=np.eye(2), center=np.zeros(2))
+        terms = {"f1": good, "f2": good, slot: NoModulus()}
+        with pytest.raises(InputError, match=rf"^{slot} .*lipschitz"):
+            CompositeProblem(**terms, f3=ZeroProxTerm(), shape=(2,))
+
+    def test_callable_smooth_term_requires_a_modulus(self):
+        with pytest.raises(TypeError, match="lipschitz"):
+            CallableSmoothTerm(value_fn=lambda x: 0.5 * x.norm() ** 2, grad_fn=lambda x: x)
 
     @pytest.mark.parametrize("slot", ["f1", "f2"])
     def test_rejects_nonsmooth_term_in_smooth_slot(self, slot):

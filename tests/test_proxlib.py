@@ -94,6 +94,11 @@ class TestScalarPieces:
         with pytest.raises(InputError):
             brute_force_prox_1d(lambda t: t * t, 1.0, -1.0)
 
+    def test_brute_force_rejects_a_non_vectorized_objective(self):
+        # written for a scalar t, this collapses the grid to a single value
+        with pytest.raises(InputError, match="vectorized"):
+            brute_force_prox_1d(lambda t: np.dot(t - 0.3, t - 0.3), -1.0, 1.0)
+
 
 class TestNonnegDistance:
     def test_value_and_grad(self):

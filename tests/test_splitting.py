@@ -373,14 +373,14 @@ class TestRunRyu:
 
     @staticmethod
     def cutting_run(stop):
-        """ryu from 50 gamma_ryu under a controller that cuts after every step until the floor."""
+        """ryu from 50 gamma_ryu and z1 = z2 = 1e11 (shadow points far past the
+        controller's 1e10 norm trigger), so it cuts after every step until the floor."""
         prob, _ = convex_l1_problem(d=4, seed=8)
         pl = plan(prob.f1.lipschitz, prob.f2.lipschitz, lam=1.0, alpha=0.8)
-        ctrl = AdaptiveController(
-            gamma_ryu=pl.gamma_ryu, gamma_current=50.0 * pl.gamma_ryu, c0=1e-12
-        )
+        ctrl = AdaptiveController(gamma_ryu=pl.gamma_ryu, gamma_current=50.0 * pl.gamma_ryu)
         params = RelaxationParams(gamma=ctrl.gamma_current, lam=1.0, alpha=0.8)
-        state, trace = run_ryu(prob, params, stop=stop, controller=ctrl)
+        z = RealVector(np.full(4, 1e11))
+        state, trace = run_ryu(prob, params, z, z, stop=stop, controller=ctrl)
         return prob, pl, ctrl, state, trace
 
     def test_controller_shrinks_gamma_and_trace_records_it(self):
@@ -467,7 +467,8 @@ class TestTraceExport:
     def test_csv_header_and_roundtrip(self, tmp_path):
         trace = self.make_trace()
         path = tmp_path / "trace.csv"
-        write_trace_csv(path, trace)
+        with open(path, "w", newline="") as fh:
+            write_trace_csv(fh, trace)
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == list(TRACE_COLUMNS)
@@ -482,7 +483,8 @@ class TestTraceExport:
         params = RelaxationParams(gamma=0.05, lam=1.0, alpha=1.0)
         _, trace = run_ryu(prob, params, stop=StoppingRule(tol=1e-8, max_iter=5))
         path = tmp_path / "trace.csv"
-        write_trace_csv(path, trace)
+        with open(path, "w", newline="") as fh:
+            write_trace_csv(fh, trace)
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert len(rows) == 6
@@ -491,7 +493,8 @@ class TestTraceExport:
     def test_json_mirrors_columns(self, tmp_path):
         trace = self.make_trace()
         path = tmp_path / "trace.json"
-        write_trace_json(path, trace)
+        with open(path, "w", newline="") as fh:
+            write_trace_json(fh, trace)
         data = json.loads(path.read_text())
         assert len(data) == len(trace)
         assert set(data[0]) == set(TRACE_COLUMNS)
