@@ -42,7 +42,6 @@ from .splitting import (
     lagrangian_value,
     make_state,
     run_ryu,
-    ryu_envelope,
     ryu_envelope_moreau,
     ryu_step,
     state_envelope,

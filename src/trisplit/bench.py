@@ -26,6 +26,7 @@ from .splitting import (
     RelaxationParams,
     StoppingRule,
     _objective,
+    _validate_alpha,
     composite_residual,
     run_ryu,
 )
@@ -171,6 +172,7 @@ def run_experiment(
     """
     if algo not in ALGOS:
         raise InputError(f"algo must be one of {ALGOS}, got {algo!r}")
+    _validate_alpha(alpha)  # "dys" does not use alpha, but still rejects a bad one
     p = build_problem(inst)
     stop = stop or StoppingRule()
     L1, L2 = p.f1.lipschitz, p.f2.lipschitz
@@ -311,8 +313,8 @@ def run_benchmark(
     deterministic per (seed, algo, overrides), so the reports do not depend
     on `jobs`.
     """
-    if not jobs >= 1:
-        raise InputError(f"jobs must be at least 1, got {jobs}")
+    if not (isinstance(jobs, (int, np.integer)) and jobs >= 1):
+        raise InputError(f"jobs must be an integer >= 1, got {jobs!r}")
     return [
         run_experiment(generate_instance(n, n, r, s, seed, lam1=lam1, lam2=lam2, tau=tau), algo, **overrides)
         for (n, s) in sizes

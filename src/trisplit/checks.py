@@ -38,7 +38,6 @@ from .splitting import (
     lagrangian_value,
     make_state,
     run_ryu,
-    ryu_envelope,
     ryu_envelope_moreau,
     ryu_step,
     state_envelope,
@@ -155,7 +154,8 @@ def step_margins(problem, params, M, state, steps):
 
 
 def envelope_form_gaps(problem, params, rng, probes, scale):
-    """Worst relative gaps of the min-form envelope to its other two forms.
+    """Worst relative gaps of the solver's min-form envelope (`state_envelope`)
+    to its other two forms.
 
     Probes `probes` points (z1, z2) with entries scale * N(0, 1) and returns
     (max |min-form - Moreau form|, max |min-form - Lagrangian|), each
@@ -165,10 +165,10 @@ def envelope_form_gaps(problem, params, rng, probes, scale):
     for _ in range(probes):
         z1 = RealVector(scale * rng.standard_normal(problem.dim), problem.shape)
         z2 = RealVector(scale * rng.standard_normal(problem.dim), problem.shape)
-        val, _ = ryu_envelope(problem, params, z1, z2)
+        s = make_state(problem, params, z1, z2)
+        val = state_envelope(problem, params, s)
         other = ryu_envelope_moreau(problem, params, z1, z2)
         worst_moreau = max(worst_moreau, abs(val - other) / (1.0 + abs(val)))
-        s = make_state(problem, params, z1, z2)
         mu1 = (s.x1 - s.z1) / params.gamma
         mu2 = (params.alpha * (s.x2 - s.x1) - s.z2) / params.gamma
         lag = lagrangian_value(

@@ -13,13 +13,18 @@ alpha = 1 recovers the unrelaxed method. The envelope merit function is the
 minimum over y of f3(y) plus the proximal linearizations of f1, f2 anchored at
 the shadow points x1, x2 with weights gamma1 = gamma/alpha and
 gamma2 = gamma/(1-alpha); it decreases by a computable margin per step for
-admissible stepsizes and is used both as a diagnostic and in the tests.
+admissible stepsizes. `state_envelope` is its one min-form evaluator: the
+minimizer is the state's own x3, so the solver records it without a prox
+call. `ryu_envelope_moreau` and `lagrangian_value` are the two independent
+forms the checks compare it with.
 
 `_iterate` is the only iteration loop: `run_ryu` and the Davis-Yin
 `baselines.run_dys` each pass it one step function, and both relax their
-governing variables through `_relax`. The loop's arithmetic runs on the flat
-arrays of the vectors; a RealVector is built only where a term oracle takes
-one, and each new governing variable is checked for finiteness once.
+governing variables through `_relax`. Everything an iteration does, ryu+'s
+stepsize cut included, happens inside that step function. The loop's
+arithmetic runs on the flat arrays of the vectors; a RealVector is built only
+where a term oracle takes one, and each new governing variable is checked for
+finiteness once.
 """
 
 from __future__ import annotations
@@ -51,7 +56,6 @@ __all__ = [
     "StoppingRule",
     "make_state",
     "ryu_step",
-    "ryu_envelope",
     "ryu_envelope_moreau",
     "state_envelope",
     "lagrangian_value",
@@ -69,6 +73,11 @@ class EnvelopeUndefinedError(InputError):
     """The envelope needs alpha < 1; at alpha = 1 the second proximal weight is infinite."""
 
 
+def _validate_alpha(alpha: float) -> None:
+    if not 0 < alpha <= 1:
+        raise InputError(f"alpha must lie in (0, 1], got {alpha}")
+
+
 @dataclass(frozen=True)
 class RelaxationParams:
     """Stepsize gamma and relaxation pair (lam, alpha); alpha = 1 is the unrelaxed method."""
@@ -82,8 +91,7 @@ class RelaxationParams:
             raise InputError(f"gamma must be positive and finite, got {self.gamma}")
         if not 0 < self.lam <= 2:
             raise InputError(f"lam must lie in (0, 2], got {self.lam}")
-        if not 0 < self.alpha <= 1:
-            raise InputError(f"alpha must lie in (0, 1], got {self.alpha}")
+        _validate_alpha(self.alpha)
 
     @property
     def gamma1(self) -> float:
@@ -222,36 +230,6 @@ def _linearization_gap(
     return float(diff @ grad.data) + float(np.linalg.norm(diff)) ** 2 / (2.0 * weight)
 
 
-def ryu_envelope(
-    p: CompositeProblem, params: RelaxationParams, z1: RealVector, z2: RealVector
-) -> tuple[float, RealVector]:
-    """Envelope value at (z1, z2) and the minimizing point (min-form).
-
-    env = min_y f3(y) + sum_i [f_i(x_i) + <y - x_i, grad f_i(x_i)>
-                               + ||y - x_i||^2 / (2 gamma_i)]
-
-    The quadratic parts collapse to ||y - w||^2/(2 gamma) around
-    w = alpha x1 + (1-alpha) x2 - gamma (grad f1(x1) + grad f2(x2)), so the
-    minimizer is a prox point of f3. Requires alpha < 1; the stepsize must
-    keep gamma f3 prox-bounded (gamma < 1/(L1+L2) always suffices).
-    """
-    _require_envelope(params)
-    gamma, alpha = params.gamma, params.alpha
-    x1, x2 = _smooth_points(p, params, z1, z2)
-    g1 = p.f1.grad(x1)
-    g2 = p.f2.grad(x2)
-    w = alpha * x1 + (1.0 - alpha) * x2 - gamma * (g1 + g2)
-    y, f3y = p.f3.prox_with_value(gamma, w)
-    value = (
-        f3y
-        + float(p.f1.value(x1))
-        + float(p.f2.value(x2))
-        + _linearization_gap(y, x1, g1, params.gamma1)
-        + _linearization_gap(y, x2, g2, params.gamma2)
-    )
-    return value, y
-
-
 def ryu_envelope_moreau(
     p: CompositeProblem, params: RelaxationParams, z1: RealVector, z2: RealVector
 ) -> float:
@@ -286,10 +264,18 @@ def ryu_envelope_moreau(
 
 
 def state_envelope(p: CompositeProblem, params: RelaxationParams, s: SplitState) -> float:
-    """Envelope value at a state, reusing its shadow points and cached f3(x3).
+    """Min-form envelope value at the state's (z1, z2), reusing its shadow
+    points and cached f3(x3).
 
-    The state's x3 already minimizes the envelope subproblem for its own
-    (z1, z2), so no extra prox evaluation is needed.
+    env = min_y f3(y) + sum_i [f_i(x_i) + <y - x_i, grad f_i(x_i)>
+                               + ||y - x_i||^2 / (2 gamma_i)]
+
+    The quadratic parts collapse to ||y - w||^2/(2 gamma) around
+    w = alpha x1 + (1-alpha) x2 - gamma (grad f1(x1) + grad f2(x2)), which the
+    prox optimality of x1 and x2 makes equal to x3's anchor x1 - z1 + x2 - z2.
+    So the state's x3 is the minimizer and no extra prox evaluation is needed.
+    Requires alpha < 1; the stepsize must keep gamma f3 prox-bounded
+    (gamma < 1/(L1+L2) always suffices).
     """
     _require_envelope(params)
     g1 = p.f1.grad(s.x1)
@@ -417,15 +403,15 @@ def _envelope_enabled(p: CompositeProblem, params: RelaxationParams) -> bool:
     return params.alpha < 1.0 and params.gamma < cap and p.dim <= 10_000
 
 
-def _iterate(p: CompositeProblem, stop: StoppingRule, state, point: str, step, after=None):
+def _iterate(p: CompositeProblem, stop: StoppingRule, state, point: str, step):
     """The iteration loop shared by every solver.
 
     `point` names the state attribute the composite residual is taken at.
     `step(state)` returns the next state, whose `k` is one higher, and the
-    remaining IterRecord fields; the loop adds k, residual and time_ms. It
-    stops when the residual drops below tol or after max_iter steps. Before
-    every step but the first it hands the current state and its record to
-    `after`, which returns the state to continue from. Returns the final
+    remaining IterRecord fields; the loop adds k, residual and time_ms. A
+    step that changes its own parameters, such as ryu+'s stepsize, does so
+    inside `step`, from the state it is given. The loop stops when the
+    residual drops below tol or after max_iter steps, and returns the final
     state and the records.
 
     A non-finite objective or residual is divergence. On divergence the
@@ -436,9 +422,7 @@ def _iterate(p: CompositeProblem, stop: StoppingRule, state, point: str, step, a
         return state, records
     t0 = time.perf_counter()
     try:
-        for i in range(stop.max_iter):
-            if i and after is not None:
-                state = after(state, records[-1])
+        for _ in range(stop.max_iter):
             nxt, fields = step(state)
             rec = IterRecord(
                 k=nxt.k,
@@ -471,9 +455,10 @@ def run_ryu(
     Starts from z1 = z2 = 0 unless given. Envelope values are recorded
     exactly when alpha < 1, gamma < 1/(L1+L2) (strictly, so gamma f3 stays
     prox-bounded) and the dimension is at most 1e4; otherwise the envelope
-    field is None. `controller`, when given, may lower gamma between
-    iterations (see the stepsize planner); shadow points are recomputed, and
-    the envelope rule re-applied, whenever it does.
+    field is None. `controller`, when given, may lower gamma at the start of
+    every step but the first, from the previous step's shadow-point
+    displacements (see the stepsize planner); the step's shadow points are
+    recomputed, and the envelope rule re-applied, whenever it does.
 
     On divergence raises DivergenceError with the trace so far attached as
     `.trace`.
@@ -483,10 +468,25 @@ def run_ryu(
     z2 = z2_0 if z2_0 is not None else p.zeros()
     state = make_state(p, params, z1, z2, k=0)
     want_envelope = _envelope_enabled(p, params)
+    last = None  # the previous step's record fields, which the controller reads
 
     def step(s: SplitState):
+        nonlocal params, want_envelope, last
+        if controller is not None and last is not None:
+            new_gamma = controller.update(
+                k=s.k,
+                dx1_norm=last["dx1"],
+                dx2_norm=last["dx2"],
+                x1_norm=s.x1.norm(),
+                x2_norm=s.x2.norm(),
+            )
+            if new_gamma != params.gamma:
+                params = replace(params, gamma=new_gamma)
+                want_envelope = _envelope_enabled(p, params)
+                # shadow points depend on gamma: refresh for the new value
+                s = make_state(p, params, s.z1, s.z2, k=s.k)
         nxt = ryu_step(p, params, s)
-        return nxt, dict(
+        last = dict(
             gamma=params.gamma,
             envelope=state_envelope(p, params, nxt) if want_envelope else None,
             objective=_objective(p, nxt.x3, nxt.f3_at_x3),
@@ -497,24 +497,9 @@ def run_ryu(
             gap31=_dist(nxt.x3, nxt.x1),
             gap32=_dist(nxt.x3, nxt.x2),
         )
+        return nxt, last
 
-    def adapt(s: SplitState, rec: IterRecord) -> SplitState:
-        nonlocal params, want_envelope
-        new_gamma = controller.update(
-            k=s.k,
-            dx1_norm=rec.dx1,
-            dx2_norm=rec.dx2,
-            x1_norm=s.x1.norm(),
-            x2_norm=s.x2.norm(),
-        )
-        if new_gamma == params.gamma:
-            return s
-        params = replace(params, gamma=new_gamma)
-        want_envelope = _envelope_enabled(p, params)
-        # shadow points depend on gamma: refresh for the new value
-        return make_state(p, params, s.z1, s.z2, k=s.k)
-
-    return _iterate(p, stop, state, "x3", step, adapt if controller is not None else None)
+    return _iterate(p, stop, state, "x3", step)
 
 
 TRACE_COLUMNS = tuple(f.name for f in fields(IterRecord))
@@ -525,10 +510,7 @@ def write_trace_csv(fh: TextIO, records: Sequence[IterRecord]) -> None:
     written blank when not evaluated."""
     writer = csv.writer(fh)
     writer.writerow(TRACE_COLUMNS)
-    for r in records:
-        row = [getattr(r, c) for c in TRACE_COLUMNS]
-        row[2] = "" if r.envelope is None else repr(r.envelope)
-        writer.writerow(row)
+    writer.writerows([getattr(r, c) for c in TRACE_COLUMNS] for r in records)
 
 
 def write_trace_json(fh: TextIO, records: Sequence[IterRecord]) -> None:

@@ -200,7 +200,7 @@ class TestRunBenchmark:
         assert [(r.seed, r.algo) for r in serial] == [(seed, algo) for seed in (0, 1) for algo in ALGOS]
         assert [bitwise(r) for r in parallel] == [bitwise(r) for r in serial]
 
-    @pytest.mark.parametrize("jobs", [0, -3, math.nan])
+    @pytest.mark.parametrize("jobs", [0, -3, math.nan, 2.5])
     def test_rejects_jobs_below_one(self, jobs):
         with pytest.raises(InputError, match="jobs"):
             run_benchmark(sizes=[(12, 30)], seeds=[0], algos=["dys"], r=3, jobs=jobs, stop=SMALL_STOP)

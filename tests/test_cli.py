@@ -218,6 +218,19 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("input error: seed must be a non-negative integer")
 
+    @pytest.mark.parametrize("alpha", ["nan", "5", "-1"])
+    @pytest.mark.parametrize(
+        "command",
+        [["solve", "--algo", "dys", *TINY], ["bench", "--sizes", "12:40", "--seeds", "1", "--rank", "3", "--algos", "dys"]],
+        ids=["solve", "bench"],
+    )
+    def test_alpha_outside_unit_interval_exits_2_for_dys(self, command, alpha, capsys):
+        # dys has no alpha, but a bad one is still bad input
+        rc = cli.main([*command, "--max-iter", "5", f"--alpha={alpha}"])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("input error: alpha must lie in (0, 1]")
+
     def test_unwritable_trace_path_exits_2(self, tmp_path, capsys):
         path = tmp_path / "missing" / "trace.csv"
         rc = cli.main(["solve", "--algo", "dys", *TINY, "--max-iter", "5", "--trace", str(path)])

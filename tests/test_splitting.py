@@ -19,6 +19,7 @@ from trisplit import (
     EnvelopeUndefinedError,
     InputError,
     NumericalError,
+    ProxTerm,
     QuadraticTerm,
     RealVector,
     RelaxationParams,
@@ -35,7 +36,6 @@ from trisplit import (
     make_state,
     plan,
     run_ryu,
-    ryu_envelope,
     ryu_envelope_moreau,
     run_dys,
     ryu_step,
@@ -178,9 +178,8 @@ class TestEnvelope:
         )
         params = RelaxationParams(gamma=0.2, alpha=0.75)
         z1, z2 = RealVector([0.6], (1,)), RealVector([-0.3], (1,))
-        val, y = ryu_envelope(prob, params, z1, z2)
-
         s = make_state(prob, params, z1, z2)
+        val = state_envelope(prob, params, s)
         g1 = prob.f1.grad(s.x1).data[0]
         g2 = prob.f2.grad(s.x2).data[0]
 
@@ -197,16 +196,15 @@ class TestEnvelope:
 
         grid = np.linspace(-10, 10, 200001)
         grid_min = min(envelope_objective(t) for t in grid)
-        assert val == pytest.approx(envelope_objective(y.data[0]), rel=1e-12)
-        assert val <= grid_min + 1e-7
         # the minimizing point is the f3-prox of the anchor, i.e. x3
-        assert y.data[0] == pytest.approx(s.x3.data[0], rel=1e-12, abs=1e-15)
+        assert val == pytest.approx(envelope_objective(s.x3.data[0]), rel=1e-12)
+        assert val <= grid_min + 1e-7
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from(["l1", "mcp"]))
     @settings(max_examples=30, deadline=None)
     def test_moreau_form_agrees_with_min_form(self, seed, f3):
         prob, params, z1, z2 = self.probe(seed, f3)
-        v_min, _ = ryu_envelope(prob, params, z1, z2)
+        v_min = state_envelope(prob, params, make_state(prob, params, z1, z2))
         v_mor = ryu_envelope_moreau(prob, params, z1, z2)
         assert v_mor == pytest.approx(v_min, rel=1e-10, abs=1e-10)
 
@@ -214,8 +212,8 @@ class TestEnvelope:
     @settings(max_examples=30, deadline=None)
     def test_lagrangian_with_gradient_multipliers_equals_envelope(self, seed):
         prob, params, z1, z2 = self.probe(seed)
-        v_min, _ = ryu_envelope(prob, params, z1, z2)
         s = make_state(prob, params, z1, z2)
+        v_min = state_envelope(prob, params, s)
         mu1 = -prob.f1.grad(s.x1)
         mu2 = -prob.f2.grad(s.x2)
         v_lag = lagrangian_value(
@@ -225,15 +223,34 @@ class TestEnvelope:
 
     def test_state_envelope_reuses_cached_value(self):
         prob, params, z1, z2 = self.probe(11)
-        s = make_state(prob, params, z1, z2)
-        v_min, _ = ryu_envelope(prob, params, z1, z2)
-        assert state_envelope(prob, params, s) == pytest.approx(v_min, rel=1e-12)
+        calls = []
+
+        class Counting(ProxTerm):
+            def value(self, x):
+                calls.append("value")
+                return prob.f3.value(x)
+
+            def prox(self, gamma, z):
+                calls.append("prox")
+                return prob.f3.prox(gamma, z)
+
+        counted = dataclasses.replace(prob, f3=Counting())
+        s = make_state(counted, params, z1, z2)
+        calls.clear()
+        env = state_envelope(counted, params, s)
+        assert calls == []
+        # the cached f3(x3) is the value f3 gives when recomputed
+        v_lag = lagrangian_value(
+            prob, 1.0 / params.gamma1, 1.0 / params.gamma2, s.x1, s.x2, s.x3,
+            -prob.f1.grad(s.x1), -prob.f2.grad(s.x2),
+        )
+        assert env == pytest.approx(v_lag, rel=1e-12)
 
     def test_envelope_rejects_alpha_one(self):
         prob, _, z1, z2 = self.probe(3)
         params = RelaxationParams(gamma=0.05, alpha=1.0)
         with pytest.raises(EnvelopeUndefinedError):
-            ryu_envelope(prob, params, z1, z2)
+            ryu_envelope_moreau(prob, params, z1, z2)
         s = make_state(prob, params, z1, z2)
         with pytest.raises(EnvelopeUndefinedError):
             state_envelope(prob, params, s)
@@ -371,24 +388,43 @@ class TestRunRyu:
         assert all(r.envelope is None for r in trace)
         assert (state.x3 - xstar).norm() < 1e-5
 
-    @staticmethod
-    def cutting_run(stop):
+    START = RealVector(np.full(4, 1e11))
+
+    @classmethod
+    def cutting_run(cls, stop):
         """ryu from 50 gamma_ryu and z1 = z2 = 1e11 (shadow points far past the
-        controller's 1e10 norm trigger), so it cuts after every step until the floor."""
+        controller's 1e10 norm trigger), so it cuts before every step until the floor."""
         prob, _ = convex_l1_problem(d=4, seed=8)
         pl = plan(prob.f1.lipschitz, prob.f2.lipschitz, lam=1.0, alpha=0.8)
         ctrl = AdaptiveController(gamma_ryu=pl.gamma_ryu, gamma_current=50.0 * pl.gamma_ryu)
         params = RelaxationParams(gamma=ctrl.gamma_current, lam=1.0, alpha=0.8)
-        z = RealVector(np.full(4, 1e11))
-        state, trace = run_ryu(prob, params, z, z, stop=stop, controller=ctrl)
+        state, trace = run_ryu(prob, params, cls.START, cls.START, stop=stop, controller=ctrl)
         return prob, pl, ctrl, state, trace
 
+    @classmethod
+    def replay(cls, prob, trace):
+        """The cutting run's steps by hand, each at the stepsize its record
+        gives; returns the final state and each step's objective."""
+        params = RelaxationParams(gamma=trace[0].gamma, lam=1.0, alpha=0.8)
+        s = make_state(prob, params, cls.START, cls.START)
+        objectives = []
+        for rec in trace:
+            if rec.gamma != params.gamma:
+                params = RelaxationParams(gamma=rec.gamma, lam=1.0, alpha=0.8)
+                s = make_state(prob, params, s.z1, s.z2, k=s.k)
+            s = ryu_step(prob, params, s)
+            objectives.append(evaluate_objective(prob, s.x3))
+        return s, objectives
+
     def test_controller_shrinks_gamma_and_trace_records_it(self):
-        _, pl, ctrl, _, trace = self.cutting_run(StoppingRule(tol=1e-10, max_iter=200))
+        prob, pl, ctrl, _, trace = self.cutting_run(StoppingRule(tol=1e-10, max_iter=200))
         gammas = [r.gamma for r in trace]
         assert all(b <= a for a, b in zip(gammas, gammas[1:]))
         assert gammas[-1] == pytest.approx(ctrl.floor)
         assert gammas[0] == pytest.approx(50.0 * pl.gamma_ryu)
+        # each record's gamma is the stepsize its step ran at
+        _, objectives = self.replay(prob, trace)
+        assert [r.objective for r in trace] == pytest.approx(objectives, rel=1e-12)
 
     def test_controller_is_not_consulted_after_the_last_iteration(self):
         # a cut after the third and last step would return a state rebuilt at
@@ -397,6 +433,8 @@ class TestRunRyu:
         assert [r.k for r in trace] == [1, 2, 3]
         assert ctrl.gamma_current == trace[-1].gamma
         assert evaluate_objective(prob, state.x3) == pytest.approx(trace[-1].objective, rel=1e-12)
+        replayed, _ = self.replay(prob, trace)
+        npt.assert_array_equal(state.x3.data, replayed.x3.data)
 
     def test_solvers_reach_the_minimizer_through_the_fallback_prox(self):
         # twins of f1 and f2 without a closed-form prox: ryu proxes both, and
@@ -464,29 +502,34 @@ class TestTraceExport:
         _, trace = run_ryu(prob, params, stop=StoppingRule(tol=1e-8, max_iter=12))
         return trace
 
-    def test_csv_header_and_roundtrip(self, tmp_path):
-        trace = self.make_trace()
+    @staticmethod
+    def csv_roundtrip(tmp_path, trace):
+        """Write the trace as CSV, read it back, and check that every field of
+        every row parses to the record's exact value (blank means None)."""
         path = tmp_path / "trace.csv"
         with open(path, "w", newline="") as fh:
             write_trace_csv(fh, trace)
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
+        assert len(rows) == len(trace) + 1
+        for rec, row in zip(trace, rows[1:]):
+            parsed = [None if v == "" else (int if c == "k" else float)(v) for c, v in zip(TRACE_COLUMNS, row)]
+            assert parsed == [getattr(rec, c) for c in TRACE_COLUMNS]
+        return rows
+
+    def test_csv_header_and_roundtrip(self, tmp_path):
+        trace = self.make_trace()
+        rows = self.csv_roundtrip(tmp_path, trace)
         assert rows[0] == list(TRACE_COLUMNS)
         assert rows[0] == "k,gamma,envelope,objective,residual,dz1,dz2,dx1,dx2,gap31,gap32,time_ms".split(",")
-        assert len(rows) == len(trace) + 1
-        got = float(rows[1][3])
-        assert got == pytest.approx(trace[0].objective, rel=1e-15)
+        assert all(r.envelope is not None for r in trace)
 
     def test_csv_blank_envelope_when_absent(self, tmp_path):
         # at alpha = 1 the envelope is undefined, so it is never recorded
         prob, _ = convex_l1_problem(d=3, seed=12)
         params = RelaxationParams(gamma=0.05, lam=1.0, alpha=1.0)
         _, trace = run_ryu(prob, params, stop=StoppingRule(tol=1e-8, max_iter=5))
-        path = tmp_path / "trace.csv"
-        with open(path, "w", newline="") as fh:
-            write_trace_csv(fh, trace)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
+        rows = self.csv_roundtrip(tmp_path, trace)
         assert len(rows) == 6
         assert all(r[2] == "" for r in rows[1:])
 
