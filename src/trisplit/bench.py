@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -294,6 +295,23 @@ def trace_filename(algo: str, m: int, n: int, s: int, seed: int) -> str:
     return f"trace_{algo}_{m}x{n}_s{s}_seed{seed}.csv"
 
 
+# Every benchmark worker starts with BLAS and OpenMP pinned to one thread, so
+# no worker's SVDs start threads of their own and the bits of a 300x300 SVD do
+# not depend on `jobs`. The malloc pad keeps the SVD workspaces in pages the
+# heap already holds: without it a ryu iteration takes about 160 minor page
+# faults at 100x100 and 2100 at 300x300, and a 4 MiB pad mends only the first.
+WORKER_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MALLOC_TOP_PAD_": str(64 << 20)}
+
+
+def _run_task(task, instance_kw, errstate, overrides):
+    """One (n, s, seed, algo) task as a worker runs it: under the caller's
+    numpy error state, returning the report and the warnings it raised."""
+    n, s, seed, algo = task
+    with np.errstate(**errstate), warnings.catch_warnings(record=True) as caught:
+        report = run_experiment(generate_instance(n, n, s=s, seed=seed, **instance_kw), algo, **overrides)
+    return report, [(w.message, w.category, w.filename, w.lineno) for w in caught]
+
+
 def run_benchmark(
     sizes: Iterable[tuple[int, int]] = DEFAULT_SIZES,
     seeds: Iterable[int] = range(5),
@@ -302,22 +320,61 @@ def run_benchmark(
     lam1: float = 10.0,
     lam2: float = 5.0,
     tau: float = 100.0,
-    jobs: int = 1,
+    jobs: int | None = None,
     **overrides,
 ) -> list[RunReport]:
     """The full benchmark protocol: every (size, seed, algorithm) combination.
 
-    `jobs` is the most tasks that may run at once; this version runs them
-    one at a time, in task order, in the calling thread, so every run uses
-    the caller's numpy error state and `warnings` filters. Runs are
-    deterministic per (seed, algo, overrides), so the reports do not depend
-    on `jobs`.
+    The tasks run in min(jobs, tasks, os.cpu_count()) worker processes,
+    started by the "spawn" method with BLAS and OpenMP pinned to one thread
+    (`WORKER_ENV`). `jobs` defaults to the CPUs this process may run on.
+    jobs=1 runs one pinned worker too, and runs are deterministic per (seed,
+    algo, overrides), so the reports do not depend on `jobs`, not even at
+    sizes where an SVD's bits depend on the BLAS thread count.
+
+    Reports come back in task order. Each task runs under the caller's numpy
+    error state, and the warnings of each task that returns are re-emitted
+    here, under the caller's `warnings` filters. If a task raises, the queued
+    tasks are cancelled, the running ones finish, and the first failure in
+    task order is raised.
+    Every worker is joined before this returns or raises, and the caller's
+    `os.environ` is left as it was. As with any spawn pool, the workers
+    import the caller's main module, so a script that calls this must guard
+    its entry point with `if __name__ == "__main__":`.
     """
+    if jobs is None:
+        jobs = len(os.sched_getaffinity(0))
     if not (isinstance(jobs, (int, np.integer)) and jobs >= 1):
         raise InputError(f"jobs must be an integer >= 1, got {jobs!r}")
-    return [
-        run_experiment(generate_instance(n, n, r, s, seed, lam1=lam1, lam2=lam2, tau=tau), algo, **overrides)
-        for (n, s) in sizes
-        for seed in seeds
-        for algo in algos
-    ]
+    tasks = [(n, s, seed, algo) for (n, s) in sizes for seed in seeds for algo in algos]
+    if not tasks:
+        return []
+    # imported here: at module level they would add to every `import trisplit`
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
+    instance_kw = dict(r=r, lam1=lam1, lam2=lam2, tau=tau)
+    errstate = np.geterr()
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    with ProcessPoolExecutor(workers, mp_context=get_context("spawn")) as pool:
+        saved = {key: os.environ.get(key) for key in WORKER_ENV}
+        os.environ.update(WORKER_ENV)
+        try:  # each submit spawns a worker, with this environment, until there are `workers`
+            futures = [pool.submit(_run_task, task, instance_kw, errstate, overrides) for task in tasks]
+        finally:
+            for key, value in saved.items():
+                if value is None:
+                    del os.environ[key]
+                else:
+                    os.environ[key] = value
+        reports, registry = [], {}
+        try:
+            for future in futures:
+                report, caught = future.result()
+                for message, category, filename, lineno in caught:
+                    warnings.warn_explicit(message, category, filename, lineno, registry=registry)
+                reports.append(report)
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+    return reports

@@ -93,6 +93,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--algos", nargs="+", choices=ALGOS, default=list(ALGOS))
     p_bench.add_argument("--rank", type=int, default=10)
     p_bench.add_argument(
+        "--jobs", type=int, default=None, help="worker processes (default: the usable CPUs)"
+    )
+    p_bench.add_argument(
         "--outdir", default=None, help="write traces, summary.csv and reports.json here"
     )
     _add_protocol_flags(p_bench)
@@ -149,6 +152,7 @@ def cmd_bench(args) -> int:
         lam1=args.lambda1,
         lam2=args.lambda2,
         tau=args.tau,
+        jobs=args.jobs,
         lam=args.lam,
         alpha=args.alpha,
         gamma=args.gamma,

@@ -263,8 +263,10 @@ class AdaptiveController:
     gamma_current: float
 
     def __post_init__(self):
-        if not (0 < self.gamma_ryu < math.inf and 0 < self.gamma_current < math.inf):
-            raise InputError("gamma_ryu and gamma_current must be positive and finite")
+        if not 0 < self.gamma_ryu < math.inf:
+            raise InputError(f"gamma_ryu must be positive and finite, got {self.gamma_ryu}")
+        if not 0 < self.gamma_current < math.inf:  # the starting stepsize, run_experiment's `gamma`
+            raise InputError(f"gamma must be positive and finite, got {self.gamma_current}")
         self.gamma_current = max(self.gamma_current, self.floor)
 
     @property

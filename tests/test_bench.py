@@ -1,7 +1,9 @@
 import csv
 import dataclasses
 import math
-import threading
+import multiprocessing
+import os
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -13,6 +15,7 @@ from trisplit import (
     InputError,
     MaskedQuadraticTerm,
     NonnegDistanceTerm,
+    NumericalError,
     SpectralMCPTerm,
     StoppingRule,
     build_problem,
@@ -199,22 +202,46 @@ class TestRunBenchmark:
         parallel = run_benchmark(jobs=2, **kw)
         assert [(r.seed, r.algo) for r in serial] == [(seed, algo) for seed in (0, 1) for algo in ALGOS]
         assert [bitwise(r) for r in parallel] == [bitwise(r) for r in serial]
+        # at 300x300 an SVD's bits depend on the BLAS thread count
+        kw = dict(sizes=[(300, 10000)], seeds=[0], algos=ALGOS, stop=StoppingRule(max_iter=3))
+        serial = run_benchmark(jobs=1, **kw)
+        parallel = run_benchmark(jobs=2, **kw)
+        assert [r.iterations for r in serial] == [3, 3, 3]
+        assert [bitwise(r) for r in parallel] == [bitwise(r) for r in serial]
 
     @pytest.mark.parametrize("jobs", [0, -3, math.nan, 2.5])
     def test_rejects_jobs_below_one(self, jobs):
         with pytest.raises(InputError, match="jobs"):
             run_benchmark(sizes=[(12, 30)], seeds=[0], algos=["dys"], r=3, jobs=jobs, stop=SMALL_STOP)
 
-    def test_tasks_run_in_the_calling_thread(self, monkeypatch):
-        threads = []
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_tasks_run_in_worker_processes(self, jobs, monkeypatch):
+        monkeypatch.setattr(bench, "_run_task", pid_spy)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            reports = run_benchmark(
+                sizes=[(12, 30)], seeds=[0, 1], algos=ALGOS, r=3, jobs=jobs, stop=StoppingRule(max_iter=2)
+            )
+        pids = [int(str(w.message).split()[-1]) for w in caught if str(w.message).startswith("task ran in pid")]
+        assert len(pids) == len(reports) == 2 * len(ALGOS)
+        assert os.getpid() not in pids
+        assert len(set(pids)) <= min(jobs, len(reports), os.cpu_count())
+        assert not multiprocessing.active_children()
 
-        def spy(*args, **kwargs):
-            threads.append(threading.get_ident())
-            return run_experiment(*args, **kwargs)
+    def test_environment_is_left_as_it_was(self, monkeypatch):
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        before = dict(os.environ)
+        run_benchmark(sizes=[(12, 30)], seeds=[0], algos=["dys"], r=3, jobs=2, stop=StoppingRule(max_iter=2))
+        assert dict(os.environ) == before
 
-        monkeypatch.setattr(bench, "run_experiment", spy)
-        run_benchmark(sizes=[(12, 30)], seeds=[0, 1], algos=ALGOS, r=3, jobs=2, stop=StoppingRule(max_iter=2))
-        assert threads == [threading.get_ident()] * 2 * len(ALGOS)
+    def test_tasks_run_under_the_callers_numpy_error_state(self):
+        # a finite prox_gamma that overflows inside the stopping residual
+        kw = dict(sizes=[(12, 40)], seeds=[0], algos=["dys"], r=3, stop=StoppingRule(prox_gamma=1e308, max_iter=20))
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            run_benchmark(**kw)
+        with np.errstate(over="ignore"), pytest.raises(NumericalError):
+            run_benchmark(**kw)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_stepsize_cap_warning_reaches_the_caller(self, jobs):
@@ -223,6 +250,13 @@ class TestRunBenchmark:
                 sizes=[(12, 30)], seeds=[0], algos=["ryu"], r=3, jobs=jobs,
                 gamma=0.05, stop=StoppingRule(max_iter=2),
             )
+
+
+def pid_spy(*args):
+    """bench._run_task that also reports, as a warning, the process it ran in.
+    It runs in a worker, whose bench module is not patched."""
+    report, caught = bench._run_task(*args)
+    return report, [*caught, (UserWarning(f"task ran in pid {os.getpid()}"), UserWarning, __file__, 1)]
 
 
 def bitwise(obj):

@@ -10,6 +10,7 @@ import csv
 import io
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -364,11 +365,32 @@ def test_extreme_input_prints_only_the_error_line():
 def test_extreme_input_in_bench_prints_only_the_error_line():
     proc = run_cli_subprocess(
         "bench", "--sizes", "12:40", "--seeds", "2", "--rank", "3", "--algos", "dys",
-        "--proxgamma", "1e308", "--max-iter", "20",
+        "--proxgamma", "1e308", "--max-iter", "20", "--jobs", "2",
     )
     assert proc.returncode == 3
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("numerical failure: "), proc.stderr
+
+
+@pytest.mark.parametrize(
+    "flags, code, prefix",
+    [
+        (["--proxgamma", "1e308"], 3, "numerical failure: "),
+        (["--alpha", "nan"], 2, "input error: "),
+    ],
+    ids=["overflow", "bad-alpha"],
+)
+def test_failing_bench_worker_prints_only_the_error_line(flags, code, prefix, capfd):
+    # in this process, so that the workers' stderr is captured with the
+    # caller's and a worker left running would be this process's child
+    rc = cli.main(
+        ["bench", "--sizes", "12:40", "--seeds", "2", "--rank", "3", "--algos", "dys", "--max-iter", "20",
+         "--jobs", "2", *flags]
+    )
+    assert rc == code
+    lines = capfd.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(prefix), lines
+    assert not multiprocessing.active_children()
 
 
 @pytest.mark.parametrize("algo", ["ryu", "ryu+"])
@@ -380,6 +402,13 @@ def test_infinite_gamma_is_an_input_error(algo):
     assert proc.returncode == 2
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("input error: ") and "positive and finite" in lines[0], proc.stderr
+
+
+@pytest.mark.parametrize("gamma", ["nan", "-1"])
+def test_bad_ryu_plus_gamma_names_the_gamma(gamma, capsys):
+    rc = cli.main(["solve", "--algo", "ryu+", *TINY, "--max-iter", "5", "--gamma", gamma])
+    assert rc == 2
+    assert capsys.readouterr().err == f"input error: gamma must be positive and finite, got {float(gamma)}\n"
 
 
 def test_stepsize_cap_warning_still_prints():
