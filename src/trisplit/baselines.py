@@ -13,10 +13,9 @@ gradient slot.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .core import CompositeProblem, InputError, RealVector
+from .core import CompositeProblem, InputError, RealVector, _validate_gamma
 from .splitting import IterRecord, StoppingRule, _dist, _iterate, _objective, _relax
 
 __all__ = ["DysParams", "DysState", "run_dys"]
@@ -30,8 +29,7 @@ class DysParams:
     lam: float = 1.0
 
     def __post_init__(self):
-        if not 0 < self.gamma < math.inf:
-            raise InputError(f"gamma must be positive and finite, got {self.gamma}")
+        _validate_gamma(self.gamma)
         if not 0 < self.lam <= 2:
             raise InputError(f"lam must lie in (0, 2], got {self.lam}")
 

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .baselines import DysParams, run_dys
+from .baselines import DysParams, _check_gamma, run_dys
 from .core import CompositeProblem, DivergenceError, InputError, RealVector
 from .proxlib import MaskedQuadraticTerm, NonnegDistanceTerm, SpectralMCPTerm
 from .splitting import (
@@ -144,15 +144,35 @@ def _envelope_monotone(trace: Sequence[IterRecord]) -> bool | None:
     return all(b <= a + 1e-10 * (1.0 + abs(a)) for a, b in zip(values, values[1:]))
 
 
-def _warn_if_beyond_thm2_cap(gamma: float, thm2_cap: float) -> None:
-    if gamma > thm2_cap:
-        warnings.warn(
-            f"stepsize {gamma:.6g} exceeds min(alpha/L1, (1-alpha)/L2) = {thm2_cap:.6g}; "
-            "envelope descent still holds but the subsequential-convergence "
-            "guarantee does not apply",
-            RuntimeWarning,
-            stacklevel=3,
-        )
+def _set_up(inst, algo, lam=1.0, alpha=0.99, gamma=None, stop=None):
+    """`run_experiment`'s input checks and stepsize choice, without running or
+    warning, so that `run_benchmark` can make them for every task before any
+    worker starts. Returns the problem, the stopping rule, the solver's
+    parameters, the solver call and the stepsize-cap warning (or None)."""
+    if algo not in ALGOS:
+        raise InputError(f"algo must be one of {ALGOS}, got {algo!r}")
+    _validate_alpha(alpha)  # "dys" does not use alpha, but still rejects a bad one
+    p = build_problem(inst)
+    stop = stop or StoppingRule()
+    L1, L2 = p.f1.lipschitz, p.f2.lipschitz
+    gdys = default_gamma_dys(L1, L2)
+    if algo == "dys":
+        params = DysParams(gamma=gamma if gamma is not None else gdys, lam=lam)
+        _check_gamma(p, params)
+        return p, stop, params, lambda: run_dys(p, params, stop=stop), None
+    sp = plan(L1, L2, lam, alpha)
+    controller = None
+    if algo == "ryu+":  # the controller clamps its start up to its floor: that is the run's gamma
+        controller = AdaptiveController(sp.gamma_ryu, gamma if gamma is not None else 10.0 * gdys)
+        gamma = controller.gamma_current
+    params = RelaxationParams(gamma=gamma if gamma is not None else sp.gamma_ryu, lam=lam, alpha=alpha)
+    lowest = controller.floor if controller else params.gamma
+    warning = None if lowest <= sp.thm2_cap else (
+        f"stepsize {lowest:.6g} exceeds min(alpha/L1, (1-alpha)/L2) = {sp.thm2_cap:.6g}; "
+        "envelope descent still holds but the subsequential-convergence "
+        "guarantee does not apply"
+    )
+    return p, stop, params, lambda: run_ryu(p, params, stop=stop, controller=controller), warning
 
 
 def run_experiment(
@@ -171,31 +191,12 @@ def run_experiment(
     stepsize (the starting one for "ryu+"). Divergence is recorded in the
     report rather than raised.
     """
-    if algo not in ALGOS:
-        raise InputError(f"algo must be one of {ALGOS}, got {algo!r}")
-    _validate_alpha(alpha)  # "dys" does not use alpha, but still rejects a bad one
-    p = build_problem(inst)
-    stop = stop or StoppingRule()
-    L1, L2 = p.f1.lipschitz, p.f2.lipschitz
-    gdys = default_gamma_dys(L1, L2)
-
-    diverged = False
+    p, stop, params, solve, warning = _set_up(inst, algo, lam, alpha, gamma, stop)
+    if warning:
+        warnings.warn(warning, RuntimeWarning, stacklevel=2)
+    g, diverged = params.gamma, False
     try:
-        if algo == "dys":
-            g = gamma if gamma is not None else gdys
-            state, trace = run_dys(p, DysParams(gamma=g, lam=lam), stop=stop)
-        else:
-            sp = plan(L1, L2, lam, alpha)
-            controller = None
-            if algo == "ryu":
-                g = gamma if gamma is not None else sp.gamma_ryu
-            else:
-                g0 = gamma if gamma is not None else 10.0 * gdys
-                controller = AdaptiveController(gamma_ryu=sp.gamma_ryu, gamma_current=g0)
-                g = controller.gamma_current
-            params = RelaxationParams(gamma=g, lam=lam, alpha=alpha)
-            _warn_if_beyond_thm2_cap(controller.floor if controller else g, sp.thm2_cap)
-            state, trace = run_ryu(p, params, stop=stop, controller=controller)
+        state, trace = solve()
     except DivergenceError as err:
         trace, diverged = list(err.trace), True
 
@@ -303,12 +304,26 @@ def trace_filename(algo: str, m: int, n: int, s: int, seed: int) -> str:
 WORKER_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MALLOC_TOP_PAD_": str(64 << 20)}
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    has one (Linux), else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _run_task(task, instance_kw, errstate, overrides):
     """One (n, s, seed, algo) task as a worker runs it: under the caller's
-    numpy error state, returning the report and the warnings it raised."""
+    numpy error state, returning the report and the warnings it raised. A
+    task that raises carries its warnings out as the exception's
+    `task_warnings`, so that the caller can emit them before the error."""
     n, s, seed, algo = task
     with np.errstate(**errstate), warnings.catch_warnings(record=True) as caught:
-        report = run_experiment(generate_instance(n, n, s=s, seed=seed, **instance_kw), algo, **overrides)
+        try:
+            report = run_experiment(generate_instance(n, n, s=s, seed=seed, **instance_kw), algo, **overrides)
+        except Exception as exc:  # re-raised, so the pool keeps the worker's traceback
+            exc.task_warnings = [(w.message, w.category, w.filename, w.lineno) for w in caught]
+            raise
     return report, [(w.message, w.category, w.filename, w.lineno) for w in caught]
 
 
@@ -325,37 +340,40 @@ def run_benchmark(
 ) -> list[RunReport]:
     """The full benchmark protocol: every (size, seed, algorithm) combination.
 
-    The tasks run in min(jobs, tasks, os.cpu_count()) worker processes,
-    started by the "spawn" method with BLAS and OpenMP pinned to one thread
-    (`WORKER_ENV`). `jobs` defaults to the CPUs this process may run on.
-    jobs=1 runs one pinned worker too, and runs are deterministic per (seed,
-    algo, overrides), so the reports do not depend on `jobs`, not even at
-    sizes where an SVD's bits depend on the BLAS thread count.
+    Every task's input is checked here first, so bad input raises before any
+    worker starts. The tasks run in min(jobs, tasks, usable CPUs) worker
+    processes, started by the "spawn" method with BLAS and OpenMP pinned to
+    one thread (`WORKER_ENV`). `jobs` defaults to the usable CPUs. jobs=1
+    runs one pinned worker too, and runs are deterministic per (seed, algo,
+    overrides), so the reports do not depend on `jobs`, not even at sizes
+    where an SVD's bits depend on the BLAS thread count.
 
     Reports come back in task order. Each task runs under the caller's numpy
-    error state, and the warnings of each task that returns are re-emitted
-    here, under the caller's `warnings` filters. If a task raises, the queued
-    tasks are cancelled, the running ones finish, and the first failure in
-    task order is raised.
+    error state, and its warnings are re-emitted here, under the caller's
+    `warnings` filters, a failing task's before its error. If a task raises,
+    the queued tasks are cancelled, the running ones finish, and the first
+    failure in task order is raised.
     Every worker is joined before this returns or raises, and the caller's
     `os.environ` is left as it was. As with any spawn pool, the workers
     import the caller's main module, so a script that calls this must guard
     its entry point with `if __name__ == "__main__":`.
     """
     if jobs is None:
-        jobs = len(os.sched_getaffinity(0))
+        jobs = _usable_cpus()
     if not (isinstance(jobs, (int, np.integer)) and jobs >= 1):
         raise InputError(f"jobs must be an integer >= 1, got {jobs!r}")
     tasks = [(n, s, seed, algo) for (n, s) in sizes for seed in seeds for algo in algos]
     if not tasks:
         return []
+    instance_kw = dict(r=r, lam1=lam1, lam2=lam2, tau=tau)
+    for n, s, seed, algo in tasks:
+        _set_up(generate_instance(n, n, s=s, seed=seed, **instance_kw), algo, **overrides)
     # imported here: at module level they would add to every `import trisplit`
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import get_context
 
-    instance_kw = dict(r=r, lam1=lam1, lam2=lam2, tau=tau)
     errstate = np.geterr()
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    workers = min(jobs, len(tasks), _usable_cpus())
     with ProcessPoolExecutor(workers, mp_context=get_context("spawn")) as pool:
         saved = {key: os.environ.get(key) for key in WORKER_ENV}
         os.environ.update(WORKER_ENV)
@@ -370,9 +388,15 @@ def run_benchmark(
         reports, registry = [], {}
         try:
             for future in futures:
-                report, caught = future.result()
+                failure = future.exception()
+                if failure is None:
+                    report, caught = future.result()
+                else:  # a pool failure, such as a worker that died, has no task_warnings
+                    caught = getattr(failure, "task_warnings", ())
                 for message, category, filename, lineno in caught:
                     warnings.warn_explicit(message, category, filename, lineno, registry=registry)
+                if failure is not None:
+                    raise failure
                 reports.append(report)
         except BaseException:
             pool.shutdown(cancel_futures=True)

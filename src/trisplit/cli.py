@@ -59,6 +59,14 @@ def _add_protocol_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--gamma", type=float, default=None, help="stepsize override")
 
 
+def _protocol_keywords(args) -> tuple[dict, dict]:
+    """The shared protocol flags, read once: the instance keywords of
+    `generate_instance` and the run keywords of `run_experiment`."""
+    instance_kw = dict(lam1=args.lambda1, lam2=args.lambda2, tau=args.tau)
+    stop = StoppingRule(prox_gamma=args.proxgamma, tol=args.tol, max_iter=args.max_iter)
+    return instance_kw, dict(lam=args.lam, alpha=args.alpha, gamma=args.gamma, stop=stop)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="trisplit", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
@@ -120,14 +128,11 @@ def cmd_plan(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    inst = generate_instance(
-        args.n, args.n, args.rank, args.s, args.seed,
-        lam1=args.lambda1, lam2=args.lambda2, tau=args.tau,
-    )
-    stop = StoppingRule(prox_gamma=args.proxgamma, tol=args.tol, max_iter=args.max_iter)
+    instance_kw, run_kw = _protocol_keywords(args)
+    inst = generate_instance(args.n, args.n, args.rank, args.s, args.seed, **instance_kw)
     # open the trace file before solving, so an unwritable path costs no solve
     with open(args.trace, "w", newline="") if args.trace else contextlib.nullcontext() as fh:
-        rep = run_experiment(inst, args.algo, lam=args.lam, alpha=args.alpha, gamma=args.gamma, stop=stop)
+        rep = run_experiment(inst, args.algo, **run_kw)
         if fh:
             (write_trace_json if args.format == "json" else write_trace_csv)(fh, rep.trace)
     status = "diverged" if rep.diverged else ("converged" if rep.converged else "capped")
@@ -144,19 +149,10 @@ def cmd_solve(args) -> int:
 def cmd_bench(args) -> int:
     if args.outdir:
         Path(args.outdir).mkdir(parents=True, exist_ok=True)
+    instance_kw, run_kw = _protocol_keywords(args)
     reports = run_benchmark(
-        sizes=args.sizes,
-        seeds=range(args.seeds),
-        algos=args.algos,
-        r=args.rank,
-        lam1=args.lambda1,
-        lam2=args.lambda2,
-        tau=args.tau,
-        jobs=args.jobs,
-        lam=args.lam,
-        alpha=args.alpha,
-        gamma=args.gamma,
-        stop=StoppingRule(prox_gamma=args.proxgamma, tol=args.tol, max_iter=args.max_iter),
+        sizes=args.sizes, seeds=range(args.seeds), algos=args.algos, r=args.rank, jobs=args.jobs,
+        **instance_kw, **run_kw,
     )
     rows = summarize(reports)
     print(format_summary(rows))

@@ -40,6 +40,12 @@ class DivergenceError(NumericalError):
     """Iterates escaped to non-finite values."""
 
 
+def _validate_gamma(gamma: float) -> None:
+    """The stepsize rule of every prox oracle and solver: gamma in (0, inf)."""
+    if not 0 < gamma < math.inf:
+        raise InputError(f"gamma must be positive and finite, got {gamma}")
+
+
 def _normalize_shape(shape) -> tuple[int, ...]:
     if isinstance(shape, (int, np.integer)):
         shape = (int(shape),)
@@ -167,8 +173,7 @@ class SmoothTerm:
         step 1/(1/gamma + L) to relative tolerance 1e-12; NumericalError if
         10000 steps do not reach it.
         """
-        if gamma <= 0:
-            raise InputError("gamma must be positive")
+        _validate_gamma(gamma)
         step = 1.0 / (1.0 / gamma + self.lipschitz)
         u = z.data
         for _ in range(10000):

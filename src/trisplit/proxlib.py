@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InputError, NumericalError, ProxTerm, RealVector, SmoothTerm
+from .core import InputError, NumericalError, ProxTerm, RealVector, SmoothTerm, _validate_gamma
 
 __all__ = [
     "NonnegDistanceTerm",
@@ -54,10 +54,11 @@ def prox_scalar_mcp(weight: float, tau: float, gamma: float, v):
     sign(v)*max(tau, |v|) can minimize; they are compared directly with ties
     broken toward the smaller magnitude.
     """
-    if weight < 0:
-        raise InputError("weight must be nonnegative")
-    if tau <= 0 or gamma <= 0:
-        raise InputError("tau and gamma must be positive")
+    if not weight >= 0:
+        raise InputError(f"weight must be nonnegative, got {weight}")
+    if not tau > 0:
+        raise InputError(f"tau must be positive, got {tau}")
+    _validate_gamma(gamma)
     a = gamma * weight
     arr = np.asarray(v, dtype=np.float64)
     if a >= tau:
@@ -130,8 +131,7 @@ class NonnegDistanceTerm(SmoothTerm):
 
     def prox(self, gamma: float, x: RealVector) -> RealVector:
         """Componentwise: keep nonnegative entries, shrink negatives by 1/(1+gamma*w)."""
-        if gamma <= 0:
-            raise InputError("gamma must be positive")
+        _validate_gamma(gamma)
         d = x.data
         return x.with_data(np.where(d >= 0.0, d, d / (1.0 + gamma * self.weight)))
 
@@ -171,8 +171,7 @@ class MaskedQuadraticTerm(SmoothTerm):
 
     def prox(self, gamma: float, x: RealVector) -> RealVector:
         """X - gamma/(1+gamma) * P(X - M); entries outside the mask pass through."""
-        if gamma <= 0:
-            raise InputError("gamma must be positive")
+        _validate_gamma(gamma)
         return x.with_data(x.data - (gamma / (1.0 + gamma)) * self._masked_diff(x))
 
 
@@ -204,8 +203,7 @@ class SpectralMCPTerm(ProxTerm):
 
     def prox_with_value(self, gamma: float, z: RealVector) -> tuple[RealVector, float]:
         """Thin SVD, firm-threshold each singular value, reconstruct."""
-        if gamma <= 0:
-            raise InputError("gamma must be positive")
+        _validate_gamma(gamma)
         u, s, vt = self._svd(z, full_matrices=False)
         s_new = prox_scalar_mcp(self.weight, self.tau, gamma, s)
         point = z.with_data((u * s_new) @ vt)
@@ -246,6 +244,7 @@ class QuadraticTerm(SmoothTerm):
         return x.with_data(self.matrix @ (x.data - self.center))
 
     def prox(self, gamma: float, z: RealVector) -> RealVector:
+        _validate_gamma(gamma)
         d = self.matrix.shape[0]
         rhs = z.data + gamma * (self.matrix @ self.center)
         return z.with_data(np.linalg.solve(np.eye(d) + gamma * self.matrix, rhs))
@@ -265,6 +264,7 @@ class ScaledL1Term(ProxTerm):
         return self.weight * float(np.sum(np.abs(x.data)))
 
     def prox(self, gamma: float, z: RealVector) -> RealVector:
+        _validate_gamma(gamma)
         return z.with_data(soft_threshold(z.data, gamma * self.weight))
 
 
@@ -294,7 +294,5 @@ class ZeroProxTerm(ProxTerm):
         return 0.0
 
     def prox(self, gamma: float, z: RealVector) -> RealVector:
+        _validate_gamma(gamma)
         return z
-
-    def prox_with_value(self, gamma: float, z: RealVector) -> tuple[RealVector, float]:
-        return z, 0.0

@@ -44,6 +44,7 @@ from .core import (
     InputError,
     NumericalError,
     RealVector,
+    _validate_gamma,
 )
 from .stepsize import _validate_moduli
 
@@ -87,8 +88,7 @@ class RelaxationParams:
     alpha: float = 0.99
 
     def __post_init__(self):
-        if not 0 < self.gamma < math.inf:
-            raise InputError(f"gamma must be positive and finite, got {self.gamma}")
+        _validate_gamma(self.gamma)
         if not 0 < self.lam <= 2:
             raise InputError(f"lam must lie in (0, 2], got {self.lam}")
         _validate_alpha(self.alpha)
@@ -192,6 +192,8 @@ def _smooth_points(
     p.check_shape(z1, "z1")
     p.check_shape(z2, "z2")
     gamma, alpha = params.gamma, params.alpha
+    if params.gamma1 == math.inf:  # a finite gamma over a small alpha: lost numerics, not bad input
+        raise NumericalError(f"the f2 prox stepsize gamma/alpha = {gamma}/{alpha} overflows")
     x1 = p.f1.prox(gamma, z1)
     x2 = p.f2.prox(gamma / alpha, z2.with_data(z2.data / alpha + x1.data))
     return x1, x2

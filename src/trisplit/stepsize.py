@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import InputError, NumericalError
+from .core import InputError, NumericalError, _validate_gamma
 
 __all__ = [
     "PlanInfeasibleError",
@@ -265,8 +265,7 @@ class AdaptiveController:
     def __post_init__(self):
         if not 0 < self.gamma_ryu < math.inf:
             raise InputError(f"gamma_ryu must be positive and finite, got {self.gamma_ryu}")
-        if not 0 < self.gamma_current < math.inf:  # the starting stepsize, run_experiment's `gamma`
-            raise InputError(f"gamma must be positive and finite, got {self.gamma_current}")
+        _validate_gamma(self.gamma_current)  # the starting stepsize, run_experiment's `gamma`
         self.gamma_current = max(self.gamma_current, self.floor)
 
     @property

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import dataclasses
 import math
@@ -245,11 +246,56 @@ class TestRunBenchmark:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_stepsize_cap_warning_reaches_the_caller(self, jobs):
-        with pytest.warns(RuntimeWarning, match="exceeds min"):
+        with pytest.warns(RuntimeWarning, match="exceeds min") as caught:
             run_benchmark(
                 sizes=[(12, 30)], seeds=[0], algos=["ryu"], r=3, jobs=jobs,
                 gamma=0.05, stop=StoppingRule(max_iter=2),
             )
+        # the caller's set-up of the task checks its stepsize but does not warn
+        assert sum("exceeds min" in str(w.message) for w in caught) == 1
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failing_task_warnings_reach_the_caller_before_its_error(self, jobs):
+        # a finite prox_gamma that overflows inside the stopping residual
+        kw = dict(sizes=[(12, 40)], seeds=[0], algos=["dys"], r=3, stop=StoppingRule(prox_gamma=1e308, max_iter=20))
+        with np.errstate(over="warn"), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NumericalError):
+                run_benchmark(jobs=jobs, **kw)
+        assert any(w.category is RuntimeWarning and "overflow" in str(w.message) for w in caught)
+
+    @pytest.mark.parametrize(
+        "kw, error",
+        [
+            (dict(sizes=[(12, 40), (2, 4)]), InputError),  # r > n
+            (dict(sizes=[(12, 40), (4, 17)]), InputError),  # s > n^2
+            (dict(seeds=[0, -1]), InputError),
+            (dict(algos=["dys", "bogus"]), InputError),
+            (dict(alpha=math.nan), InputError),
+            (dict(lam=3.0), InputError),
+            (dict(algos=["ryu"], gamma=-1.0), InputError),
+            (dict(gamma=0.1), InputError),  # dys needs gamma < 1/L1 = 0.1
+            (dict(lam1=math.nan), InputError),
+            (dict(tau=0.0), InputError),
+            (dict(gama=0.01), TypeError),  # a misspelled override
+        ],
+        ids=["r>n", "s>n^2", "seed", "algo", "alpha", "lam", "ryu-gamma", "dys-gamma", "lam1", "tau", "override"],
+    )
+    def test_bad_input_raises_before_any_worker_starts(self, kw, error, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was built for bad input")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        base = dict(sizes=[(12, 40)], seeds=[0], algos=["dys"], r=3, jobs=2, stop=StoppingRule(max_iter=2))
+        with pytest.raises(error):
+            run_benchmark(**{**base, **kw})
+
+    def test_jobs_default_without_an_affinity_set(self, monkeypatch):
+        # os.sched_getaffinity is Linux-only
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert bench._usable_cpus() == (os.cpu_count() or 1)
+        reports = run_benchmark(sizes=[(12, 30)], seeds=[0], algos=["dys"], r=3, stop=StoppingRule(max_iter=2))
+        assert [(r.algo, r.seed) for r in reports] == [("dys", 0)]
 
 
 def pid_spy(*args):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trisplit import (
+    CallableSmoothTerm,
     InputError,
     MaskedQuadraticTerm,
     NonnegDistanceTerm,
@@ -14,6 +15,7 @@ from trisplit import (
     ScaledL1Term,
     SeparableMCPTerm,
     SpectralMCPTerm,
+    ZeroProxTerm,
     brute_force_prox_1d,
     default_prox_bracket,
     mcp_value,
@@ -91,6 +93,10 @@ class TestScalarPieces:
             prox_scalar_mcp(1.0, 0.0, 1.0, 0.0)
         with pytest.raises(InputError):
             prox_scalar_mcp(1.0, 1.0, -0.5, 0.0)
+        with pytest.raises(InputError, match="weight"):
+            prox_scalar_mcp(np.nan, 1.0, 1.0, 0.5)
+        with pytest.raises(InputError, match="tau"):
+            prox_scalar_mcp(1.0, np.nan, 1.0, 0.5)
         with pytest.raises(InputError):
             brute_force_prox_1d(lambda t: t * t, 1.0, -1.0)
 
@@ -309,3 +315,26 @@ class TestSeparableMCP:
         t = SeparableMCPTerm(weight=2.0, tau=4.0)
         x = RealVector([0.0, 4.0, -10.0], (3,))
         assert t.value(x) == pytest.approx(2.0 * (0.0 + 2.0 + 2.0))
+
+
+Z = RealVector([[1.0, -2.0], [0.5, 3.0]])
+PROX_ORACLES = {
+    "prox_scalar_mcp": lambda g: prox_scalar_mcp(1.0, 1.0, g, 0.5),
+    "nonneg-distance": lambda g: NonnegDistanceTerm(1.0).prox(g, Z),
+    "masked-quadratic": lambda g: MaskedQuadraticTerm(Z, np.eye(2, dtype=bool)).prox(g, Z),
+    "spectral-mcp": lambda g: SpectralMCPTerm(1.0, 1.0).prox(g, Z),
+    "spectral-mcp-with-value": lambda g: SpectralMCPTerm(1.0, 1.0).prox_with_value(g, Z),
+    "quadratic": lambda g: QuadraticTerm(np.eye(4), np.zeros(4)).prox(g, Z),
+    "scaled-l1": lambda g: ScaledL1Term(1.0).prox(g, Z),
+    "separable-mcp": lambda g: SeparableMCPTerm(1.0, 1.0).prox(g, Z),
+    "zero": lambda g: ZeroProxTerm().prox(g, Z),
+    "zero-with-value": lambda g: ZeroProxTerm().prox_with_value(g, Z),
+    "smooth-fallback": lambda g: CallableSmoothTerm(lambda x: 0.5 * x.norm() ** 2, lambda x: x, 1.0).prox(g, Z),
+}
+
+
+@pytest.mark.parametrize("gamma", [np.nan, np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("oracle", PROX_ORACLES.values(), ids=PROX_ORACLES.keys())
+def test_every_prox_oracle_rejects_a_stepsize_outside_the_positive_reals(oracle, gamma):
+    with pytest.raises(InputError, match="gamma must be positive and finite"):
+        oracle(gamma)

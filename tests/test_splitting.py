@@ -485,6 +485,12 @@ class TestRunRyu:
             with pytest.raises(NumericalError), np.errstate(over="ignore"):
                 run_ryu(prob, RelaxationParams(gamma=0.05), z1_0=z0, z2_0=z0)
 
+    def test_overflowing_f2_prox_stepsize_is_numerical_error(self, tiny_instance):
+        # gamma/alpha overflows although gamma and alpha are valid: lost numerics, not bad input
+        prob = build_problem(tiny_instance)
+        with pytest.raises(NumericalError, match="overflows"):
+            run_ryu(prob, RelaxationParams(gamma=1e308, lam=0.5, alpha=0.4), stop=StoppingRule(max_iter=2))
+
     def test_objective_column_matches_direct_evaluation(self):
         prob, _ = convex_l1_problem(d=4, seed=3)
         params = RelaxationParams(gamma=0.05, lam=1.0, alpha=0.8)
