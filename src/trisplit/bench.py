@@ -14,7 +14,8 @@ import csv
 import math
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from itertools import product
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -285,11 +286,11 @@ def format_summary(rows: Sequence[SummaryRow]) -> str:
 def write_summary_csv(path, rows: Sequence[SummaryRow]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["algo", "n", "s", "mean_iter", "mean_time_ms", "mean_obj", "conv_rate", "capped"])
+        columns = [f.name for f in fields(SummaryRow)]
+        writer.writerow(columns)
         for r in rows:
-            writer.writerow(
-                [r.algo, r.n, r.s, r.mean_iter, r.mean_time_ms, r.mean_obj, r.conv_rate, int(r.capped)]
-            )
+            values = (getattr(r, c) for c in columns)
+            writer.writerow([int(v) if isinstance(v, bool) else v for v in values])  # capped as 0/1
 
 
 def trace_filename(algo: str, m: int, n: int, s: int, seed: int) -> str:
@@ -362,7 +363,7 @@ def run_benchmark(
         jobs = _usable_cpus()
     if not (isinstance(jobs, (int, np.integer)) and jobs >= 1):
         raise InputError(f"jobs must be an integer >= 1, got {jobs!r}")
-    tasks = [(n, s, seed, algo) for (n, s) in sizes for seed in seeds for algo in algos]
+    tasks = [(n, s, seed, algo) for (n, s), seed, algo in product(sizes, seeds, algos)]
     if not tasks:
         return []
     instance_kw = dict(r=r, lam1=lam1, lam2=lam2, tau=tau)

@@ -11,6 +11,7 @@ import argparse
 import contextlib
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -130,10 +131,14 @@ def cmd_plan(args) -> int:
 def cmd_solve(args) -> int:
     instance_kw, run_kw = _protocol_keywords(args)
     inst = generate_instance(args.n, args.n, args.rank, args.s, args.seed, **instance_kw)
-    # open the trace file before solving, so an unwritable path costs no solve
-    with open(args.trace, "w", newline="") if args.trace else contextlib.nullcontext() as fh:
+    # open the trace file before solving, so an unwritable path costs no solve,
+    # but empty it only once there is a report, so a failed run keeps the old trace
+    with open(args.trace, "a", newline="") if args.trace else contextlib.nullcontext() as fh:
         rep = run_experiment(inst, args.algo, **run_kw)
         if fh:
+            if os.path.isfile(args.trace):  # not a device or pipe, which cannot be truncated
+                fh.seek(0)
+                fh.truncate()
             (write_trace_json if args.format == "json" else write_trace_csv)(fh, rep.trace)
     status = "diverged" if rep.diverged else ("converged" if rep.converged else "capped")
     print(

@@ -40,10 +40,11 @@ class DivergenceError(NumericalError):
     """Iterates escaped to non-finite values."""
 
 
-def _validate_gamma(gamma: float) -> None:
-    """The stepsize rule of every prox oracle and solver: gamma in (0, inf)."""
+def _validate_gamma(gamma: float, name: str = "gamma") -> None:
+    """The rule for every stepsize and tolerance, named `name` in the error:
+    a value in (0, inf). NaN fails the comparison, so no warning is raised."""
     if not 0 < gamma < math.inf:
-        raise InputError(f"gamma must be positive and finite, got {gamma}")
+        raise InputError(f"{name} must be positive and finite, got {gamma}")
 
 
 def _normalize_shape(shape) -> tuple[int, ...]:
@@ -55,13 +56,14 @@ def _normalize_shape(shape) -> tuple[int, ...]:
     return shape
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RealVector:
     """Immutable finite float64 vector; matrix problems carry an (m, n) shape.
 
     Data is stored flattened row-major; `mat` gives the shaped view.
     Construction rejects NaN/Inf: non-finite numbers are errors, never
-    sentinels.
+    sentinels. Equality and hashing are by identity, and unpickling goes
+    through the constructor, so a copy is read-only and finite too.
     """
 
     data: np.ndarray
@@ -81,6 +83,9 @@ class RealVector:
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
         object.__setattr__(self, "shape", shape)
+
+    def __reduce__(self):
+        return (RealVector, (self.data, self.shape))
 
     @classmethod
     def zeros(cls, shape) -> "RealVector":

@@ -34,6 +34,14 @@ __all__ = [
 ]
 
 
+def _validate_penalty(weight: float, tau: float | None = None) -> None:
+    """The rules of every penalty term: weight in [0, inf) and an MCP knee tau > 0."""
+    if not 0 <= weight < np.inf:
+        raise InputError(f"weight must be finite and nonnegative, got {weight}")
+    if tau is not None and not tau > 0:
+        raise InputError(f"tau must be positive, got {tau}")
+
+
 def mcp_value(t, tau: float):
     """Minimax-concave penalty |t| - t^2/(2 tau), saturating at tau/2."""
     a = np.abs(np.asarray(t, dtype=np.float64))
@@ -54,10 +62,7 @@ def prox_scalar_mcp(weight: float, tau: float, gamma: float, v):
     sign(v)*max(tau, |v|) can minimize; they are compared directly with ties
     broken toward the smaller magnitude.
     """
-    if not weight >= 0:
-        raise InputError(f"weight must be nonnegative, got {weight}")
-    if not tau > 0:
-        raise InputError(f"tau must be positive, got {tau}")
+    _validate_penalty(weight, tau)
     _validate_gamma(gamma)
     a = gamma * weight
     arr = np.asarray(v, dtype=np.float64)
@@ -114,8 +119,7 @@ class NonnegDistanceTerm(SmoothTerm):
     weight: float = 1.0
 
     def __post_init__(self):
-        if not 0 <= self.weight < np.inf:
-            raise InputError("weight must be finite and nonnegative")
+        _validate_penalty(self.weight)
 
     @property
     def lipschitz(self) -> float:
@@ -183,8 +187,7 @@ class SpectralMCPTerm(ProxTerm):
     tau: float = 1.0
 
     def __post_init__(self):
-        if not (0 <= self.weight < np.inf and self.tau > 0):
-            raise InputError("need a finite weight >= 0 and tau > 0")
+        _validate_penalty(self.weight, self.tau)
 
     def _svd(self, x: RealVector, **kwargs):
         if len(x.shape) != 2:
@@ -257,8 +260,7 @@ class ScaledL1Term(ProxTerm):
     weight: float = 1.0
 
     def __post_init__(self):
-        if not 0 <= self.weight < np.inf:
-            raise InputError("weight must be finite and nonnegative")
+        _validate_penalty(self.weight)
 
     def value(self, x: RealVector) -> float:
         return self.weight * float(np.sum(np.abs(x.data)))
@@ -276,8 +278,7 @@ class SeparableMCPTerm(ProxTerm):
     tau: float = 1.0
 
     def __post_init__(self):
-        if not (0 <= self.weight < np.inf and self.tau > 0):
-            raise InputError("need a finite weight >= 0 and tau > 0")
+        _validate_penalty(self.weight, self.tau)
 
     def value(self, x: RealVector) -> float:
         return self.weight * float(np.sum(mcp_value(x.data, self.tau)))

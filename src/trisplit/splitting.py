@@ -162,10 +162,8 @@ class StoppingRule:
     max_iter: int = 20000
 
     def __post_init__(self):
-        if not 0 < self.prox_gamma < math.inf:
-            raise InputError(f"prox_gamma must be positive and finite, got {self.prox_gamma}")
-        if not 0 < self.tol < math.inf:
-            raise InputError(f"tol must be positive and finite, got {self.tol}")
+        _validate_gamma(self.prox_gamma, "prox_gamma")
+        _validate_gamma(self.tol, "tol")
         if not (isinstance(self.max_iter, (int, np.integer)) and self.max_iter >= 1):
             raise InputError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
 
@@ -351,8 +349,7 @@ def composite_residual(p: CompositeProblem, prox_gamma: float, x: RealVector) ->
 
     Zero exactly at critical points of f1 + f2 + f3; the stopping criterion.
     """
-    if prox_gamma <= 0:
-        raise InputError("prox_gamma must be positive")
+    _validate_gamma(prox_gamma, "prox_gamma")
     p.check_shape(x)
     g = p.f1.grad(x).data + p.f2.grad(x).data
     step = p.f3.prox(prox_gamma, x.with_data(x.data - prox_gamma * g))

@@ -263,8 +263,7 @@ class AdaptiveController:
     gamma_current: float
 
     def __post_init__(self):
-        if not 0 < self.gamma_ryu < math.inf:
-            raise InputError(f"gamma_ryu must be positive and finite, got {self.gamma_ryu}")
+        _validate_gamma(self.gamma_ryu, "gamma_ryu")
         _validate_gamma(self.gamma_current)  # the starting stepsize, run_experiment's `gamma`
         self.gamma_current = max(self.gamma_current, self.floor)
 

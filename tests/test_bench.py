@@ -210,6 +210,14 @@ class TestRunBenchmark:
         assert [r.iterations for r in serial] == [3, 3, 3]
         assert [bitwise(r) for r in parallel] == [bitwise(r) for r in serial]
 
+    @pytest.mark.parametrize("one_shot", ["sizes", "seeds", "algos"])
+    def test_one_shot_iterables_keep_every_task(self, one_shot):
+        kw = dict(sizes=[(12, 30), (12, 40)], seeds=[0, 1], algos=["dys"], r=3, jobs=1, stop=StoppingRule(max_iter=2))
+        kw[one_shot] = (item for item in kw[one_shot])
+        assert [(r.s, r.seed, r.algo) for r in run_benchmark(**kw)] == [
+            (30, 0, "dys"), (30, 1, "dys"), (40, 0, "dys"), (40, 1, "dys")
+        ]
+
     @pytest.mark.parametrize("jobs", [0, -3, math.nan, 2.5])
     def test_rejects_jobs_below_one(self, jobs):
         with pytest.raises(InputError, match="jobs"):

@@ -241,6 +241,17 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("input error: ") and str(path) in err[0]
         assert "algo=" not in out  # the path is opened before the solve, not after
 
+    def test_rejected_solve_keeps_an_existing_trace(self, tmp_path, capsys):
+        path = tmp_path / "existing.csv"
+        path.write_bytes(b"an earlier run's trace\n")
+        rc = cli.main(["solve", "--algo", "ryu", *TINY, "--alpha", "5", "--trace", str(path)])
+        assert rc == 2
+        assert path.read_bytes() == b"an earlier run's trace\n"
+        rc = cli.main(["solve", "--algo", "dys", *TINY, "--max-iter", "2", "--trace", str(path)])
+        assert rc == 0
+        with open(path, newline="") as fh:
+            assert [row[0] for row in csv.reader(fh)] == ["k", "1", "2"]
+
     def test_bench_outdir_that_is_a_file_exits_2(self, tmp_path, capsys):
         path = tmp_path / "taken"
         path.write_text("")

@@ -1,4 +1,6 @@
 import math
+import pickle
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -7,19 +9,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import trisplit
 from trisplit import (
+    AdaptiveController,
     CallableSmoothTerm,
     CompositeProblem,
     InputError,
+    NonnegDistanceTerm,
     NumericalError,
     QuadraticTerm,
     RealVector,
     ScaledL1Term,
     SmoothTerm,
+    SplitState,
+    StoppingRule,
     ZeroProxTerm,
+    baselines,
+    bench,
+    composite_residual,
+    core,
     evaluate_objective,
     gradient_check,
     lipschitz_probe,
+    proxlib,
+    splitting,
+    stepsize,
 )
 
 finite_arrays = hnp.arrays(
@@ -104,6 +118,22 @@ class TestRealVector:
         w = RealVector(np.zeros(4), (4,))
         with pytest.raises(InputError):
             _ = v + w
+
+    def test_equality_and_hash_are_by_identity(self):
+        a, b = RealVector([1.0, 2.0]), RealVector([1.0, 2.0])
+        assert a == a and a != b
+        assert hash(a) == hash(a) and len({a, b}) == 2
+        # states compare their vectors with ==, so they compare too
+        assert SplitState(a, a, a, a, a, 0.0) == SplitState(a, a, a, a, a, 0.0)
+        assert SplitState(a, a, a, a, a, 0.0) != SplitState(b, a, a, a, a, 0.0)
+
+    def test_pickle_round_trip_is_read_only_with_the_same_bits(self):
+        v = RealVector([[1.5, -0.0], [np.pi, 5e-324]], (2, 2))
+        w = pickle.loads(pickle.dumps(v))
+        assert w.shape == v.shape
+        assert w.data.tobytes() == v.data.tobytes()
+        with pytest.raises(ValueError):
+            w.data[0] = np.nan
 
 
 class TestCompositeProblem:
@@ -236,3 +266,32 @@ class TestDerivativeProbes:
         t = QuadraticTerm(matrix=a, center=np.zeros(6))
         est = lipschitz_probe(t, trials=60, seed=3, shape=(6,))
         assert 0.05 * lmax < est <= lmax * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("module", [core, proxlib, splitting, stepsize, baselines, bench], ids=lambda m: m.__name__)
+def test_every_public_name_is_top_level(module):
+    for name in module.__all__:
+        assert getattr(trisplit, name) is getattr(module, name), name
+
+
+def _residual(prox_gamma):
+    p = CompositeProblem(NonnegDistanceTerm(), NonnegDistanceTerm(), ZeroProxTerm(), shape=(2,))
+    return composite_residual(p, prox_gamma, RealVector([1.0, -1.0]))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("prox_gamma", lambda v: StoppingRule(prox_gamma=v)),
+        ("tol", lambda v: StoppingRule(tol=v)),
+        ("prox_gamma", _residual),
+        ("gamma_ryu", lambda v: AdaptiveController(gamma_ryu=v, gamma_current=1.0)),
+    ],
+    ids=["StoppingRule.prox_gamma", "StoppingRule.tol", "composite_residual", "AdaptiveController.gamma_ryu"],
+)
+def test_stepsizes_and_tolerances_must_be_positive_and_finite(name, call, value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match=f"^{name} must be positive and finite"):
+            call(value)

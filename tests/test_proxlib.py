@@ -95,6 +95,8 @@ class TestScalarPieces:
             prox_scalar_mcp(1.0, 1.0, -0.5, 0.0)
         with pytest.raises(InputError, match="weight"):
             prox_scalar_mcp(np.nan, 1.0, 1.0, 0.5)
+        with pytest.raises(InputError, match="weight"):
+            prox_scalar_mcp(np.inf, 1.0, 0.1, 2.0)
         with pytest.raises(InputError, match="tau"):
             prox_scalar_mcp(1.0, np.nan, 1.0, 0.5)
         with pytest.raises(InputError):
