@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import CompositeProblem, InputError, RealVector, _validate_gamma
+from .core import CompositeProblem, InputError, RealVector, _validate_gamma, _validate_lam
 from .splitting import IterRecord, StoppingRule, _dist, _iterate, _objective, _relax
 
 __all__ = ["DysParams", "DysState", "run_dys"]
@@ -30,8 +30,7 @@ class DysParams:
 
     def __post_init__(self):
         _validate_gamma(self.gamma)
-        if not 0 < self.lam <= 2:
-            raise InputError(f"lam must lie in (0, 2], got {self.lam}")
+        _validate_lam(self.lam)
 
 
 @dataclass(frozen=True)

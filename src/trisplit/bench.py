@@ -22,13 +22,13 @@ import numpy as np
 
 from .baselines import DysParams, _check_gamma, run_dys
 from .core import CompositeProblem, DivergenceError, InputError, RealVector
+from .core import _validate_alpha, _validate_count
 from .proxlib import MaskedQuadraticTerm, NonnegDistanceTerm, SpectralMCPTerm
 from .splitting import (
     IterRecord,
     RelaxationParams,
     StoppingRule,
     _objective,
-    _validate_alpha,
     composite_residual,
     run_ryu,
 )
@@ -82,11 +82,12 @@ def generate_instance(
     tau: float = 100.0,
 ) -> CompletionInstance:
     """Rank-r Gaussian product target plus a uniform observation mask."""
-    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
-        raise InputError(f"seed must be a non-negative integer, got {seed!r}")
-    if not 1 <= r <= min(m, n):
+    _validate_count(seed, "seed", least=0)
+    for name, size in (("m", m), ("n", n), ("r", r), ("s", s)):
+        _validate_count(size, name)
+    if not r <= min(m, n):
         raise InputError(f"need 1 <= r <= min(m, n), got r={r}, m={m}, n={n}")
-    if not 1 <= s <= m * n:
+    if not s <= m * n:
         raise InputError(f"need 1 <= s <= m*n, got s={s} for {m}x{n}")
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((m, r))
@@ -361,8 +362,7 @@ def run_benchmark(
     """
     if jobs is None:
         jobs = _usable_cpus()
-    if not (isinstance(jobs, (int, np.integer)) and jobs >= 1):
-        raise InputError(f"jobs must be an integer >= 1, got {jobs!r}")
+    _validate_count(jobs, "jobs")
     tasks = [(n, s, seed, algo) for (n, s), seed, algo in product(sizes, seeds, algos)]
     if not tasks:
         return []

@@ -29,7 +29,7 @@ from .bench import (
     write_summary_csv,
 )
 from .checks import run_all_checks
-from .core import InputError
+from .core import InputError, _validate_count
 from .splitting import StoppingRule, write_trace_csv, write_trace_json
 from .stepsize import plan
 
@@ -152,6 +152,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    _validate_count(args.seeds, "--seeds")
     if args.outdir:
         Path(args.outdir).mkdir(parents=True, exist_ok=True)
     instance_kw, run_kw = _protocol_keywords(args)

@@ -41,10 +41,27 @@ class DivergenceError(NumericalError):
 
 
 def _validate_gamma(gamma: float, name: str = "gamma") -> None:
-    """The rule for every stepsize and tolerance, named `name` in the error:
+    """The rule for every stepsize, tolerance and lone modulus, named `name` in the error:
     a value in (0, inf). NaN fails the comparison, so no warning is raised."""
     if not 0 < gamma < math.inf:
         raise InputError(f"{name} must be positive and finite, got {gamma}")
+
+
+def _validate_lam(lam: float) -> None:
+    if not 0 < lam <= 2:
+        raise InputError(f"lam must lie in (0, 2], got {lam}")
+
+
+def _validate_alpha(alpha: float) -> None:
+    if not 0 < alpha <= 1:
+        raise InputError(f"alpha must lie in (0, 1], got {alpha}")
+
+
+def _validate_count(value, name: str, least: int = 1) -> None:
+    """The rule for every size, count and seed: an integer >= least, 1 or 0."""
+    if not (isinstance(value, (int, np.integer)) and value >= least):
+        kind = "positive" if least else "non-negative"
+        raise InputError(f"{name} must be a {kind} integer, got {value!r}")
 
 
 def _normalize_shape(shape) -> tuple[int, ...]:
@@ -296,8 +313,7 @@ def lipschitz_probe(t: SmoothTerm, trials: int, seed: int, shape) -> float:
     The caller asserts the result against the declared modulus; `shape` is
     needed because terms do not carry the ambient dimension.
     """
-    if trials < 1:
-        raise InputError("trials must be >= 1")
+    _validate_count(trials, "trials")
     shape = _normalize_shape(shape)
     rng = np.random.default_rng(seed)
     d = math.prod(shape)

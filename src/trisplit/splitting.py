@@ -38,15 +38,9 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from .core import (
-    CompositeProblem,
-    DivergenceError,
-    InputError,
-    NumericalError,
-    RealVector,
-    _validate_gamma,
-)
-from .stepsize import _validate_moduli
+from .core import CompositeProblem, DivergenceError, InputError, NumericalError, RealVector
+from .core import _validate_alpha, _validate_count, _validate_gamma, _validate_lam
+from .stepsize import _validate_epsilons, _validate_moduli
 
 __all__ = [
     "EnvelopeUndefinedError",
@@ -74,11 +68,6 @@ class EnvelopeUndefinedError(InputError):
     """The envelope needs alpha < 1; at alpha = 1 the second proximal weight is infinite."""
 
 
-def _validate_alpha(alpha: float) -> None:
-    if not 0 < alpha <= 1:
-        raise InputError(f"alpha must lie in (0, 1], got {alpha}")
-
-
 @dataclass(frozen=True)
 class RelaxationParams:
     """Stepsize gamma and relaxation pair (lam, alpha); alpha = 1 is the unrelaxed method."""
@@ -89,8 +78,7 @@ class RelaxationParams:
 
     def __post_init__(self):
         _validate_gamma(self.gamma)
-        if not 0 < self.lam <= 2:
-            raise InputError(f"lam must lie in (0, 2], got {self.lam}")
+        _validate_lam(self.lam)
         _validate_alpha(self.alpha)
 
     @property
@@ -164,8 +152,7 @@ class StoppingRule:
     def __post_init__(self):
         _validate_gamma(self.prox_gamma, "prox_gamma")
         _validate_gamma(self.tol, "tol")
-        if not (isinstance(self.max_iter, (int, np.integer)) and self.max_iter >= 1):
-            raise InputError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
+        _validate_count(self.max_iter, "max_iter")
 
 
 def _dist(a: RealVector, b: RealVector) -> float:
@@ -320,8 +307,7 @@ def descent_constants(
     when gamma lies in the admissible interval for (eps1, eps2).
     """
     _validate_moduli(L1, L2)
-    if not (eps1 > 0 and eps2 > 0):
-        raise InputError("eps1 and eps2 must be positive")
+    _validate_epsilons(eps1, eps2)
     _require_envelope(params)
     g, lam, a = params.gamma, params.lam, params.alpha
     C0 = 1.0 / (2.0 * L1) - g / lam

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import InputError, NumericalError, _validate_gamma
+from .core import InputError, NumericalError, _validate_gamma, _validate_lam
 
 __all__ = [
     "PlanInfeasibleError",
@@ -43,8 +43,7 @@ class PlanInfeasibleError(InputError):
 
 def alpha_lower_bound(lam: float) -> float:
     """Smallest admissible alpha, (2 lam - 3 + sqrt(9 - 4 lam))/2; in (lam/2, 1)."""
-    if not 0 < lam <= 2:
-        raise InputError(f"lam must lie in (0, 2], got {lam}")
+    _validate_lam(lam)
     return (2.0 * lam - 3.0 + math.sqrt(9.0 - 4.0 * lam)) / 2.0
 
 
@@ -53,10 +52,13 @@ def _validate_moduli(L1: float, L2: float) -> None:
         raise InputError(f"L1 and L2 must be positive and finite, got L1={L1}, L2={L2}")
 
 
+def _validate_epsilons(eps1: float, eps2: float) -> None:
+    if not (0 < eps1 < math.inf and 0 < eps2 < math.inf):
+        raise InputError(f"eps1 and eps2 must be positive and finite, got eps1={eps1}, eps2={eps2}")
+
+
 def _validate_lam_alpha(lam: float, alpha: float) -> None:
-    if not 0 < lam < 2:
-        raise InputError(f"lam must lie in (0, 2), got {lam}")
-    abar = alpha_lower_bound(lam)
+    abar = alpha_lower_bound(lam)  # at lam = 2, alpha_bar = 1 and no alpha is admissible
     if not abar < alpha < 1:
         raise InputError(f"alpha must lie in ({abar}, 1) for lam={lam}, got {alpha}")
 
@@ -69,17 +71,12 @@ def eps1_interval(lam: float, alpha: float) -> tuple[float, float]:
 
 def eps2_lower(L2: float, lam: float, alpha: float) -> float:
     """Left end of the open admissible eps2 interval I2 = (alpha L2 / lam, inf)."""
+    _validate_gamma(L2, "L2")
+    _validate_lam_alpha(lam, alpha)
     return alpha * L2 / lam
 
 
-def gamma_bounds(
-    L1: float, L2: float, lam: float, alpha: float, eps1: float, eps2: float
-) -> tuple[float, float, float, float]:
-    """The four stepsize caps (gbar0, gbar1, gbar2, gbar3) for given epsilons."""
-    _validate_moduli(L1, L2)
-    if not (eps1 > 0 and eps2 > 0):
-        raise InputError("eps1 and eps2 must be positive")
-    _validate_lam_alpha(lam, alpha)
+def _caps(L1, L2, lam, alpha, eps1, eps2) -> tuple[float, float, float, float]:
     g0 = lam / (2.0 * L1)
     g1 = lam / (2.0 * L2) - alpha / (2.0 * eps2)
     g2 = alpha * (2.0 - lam - (1.0 - alpha) * eps1) / (alpha * eps2 + 2.0 * (1.0 - alpha) * L1)
@@ -87,19 +84,17 @@ def gamma_bounds(
     return g0, g1, g2, g3
 
 
-def eps2_star(L1: float, L2: float, lam: float, alpha: float, eps1: float) -> float:
-    """The root of gbar1(eps2) = gbar2(eps1, eps2) inside I2, for fixed eps1.
+def gamma_bounds(
+    L1: float, L2: float, lam: float, alpha: float, eps1: float, eps2: float
+) -> tuple[float, float, float, float]:
+    """The four stepsize caps (gbar0, gbar1, gbar2, gbar3) for given epsilons."""
+    _validate_moduli(L1, L2)
+    _validate_epsilons(eps1, eps2)
+    _validate_lam_alpha(lam, alpha)
+    return _caps(L1, L2, lam, alpha, eps1, eps2)
 
-    Clearing denominators gives the quadratic
 
-        lam*alpha*e^2
-        + (2 lam (1-alpha) L1 - alpha^2 L2 - 2 alpha L2 (2 - lam - (1-alpha) eps1)) e
-        - 2 alpha (1-alpha) L1 L2 = 0
-
-    whose constant term is negative, so there is exactly one positive root
-    and (since gbar1 vanishes at the left end of I2 while gbar2 is positive
-    on I1) it lies in I2.
-    """
+def _eps2_star(L1, L2, lam, alpha, eps1) -> float:
     A = lam * alpha
     B = (
         2.0 * lam * (1.0 - alpha) * L1
@@ -107,19 +102,37 @@ def eps2_star(L1: float, L2: float, lam: float, alpha: float, eps1: float) -> fl
         - 2.0 * alpha * L2 * (2.0 - lam - (1.0 - alpha) * eps1)
     )
     C = -2.0 * alpha * (1.0 - alpha) * L1 * L2
-    disc = B * B - 4.0 * A * C
-    if disc < 0:
-        raise PlanInfeasibleError(f"no real eps2 root for lam={lam}, alpha={alpha}")
-    sq = math.sqrt(disc)
-    q = -0.5 * (B + math.copysign(sq, B if B != 0 else 1.0))
-    roots = [q / A]
-    if q != 0:
-        roots.append(C / q)
-    lower = eps2_lower(L2, lam, alpha)
-    inside = [r for r in roots if r > lower]
-    if not inside:
+    q = -0.5 * (B + math.copysign(math.sqrt(B * B - 4.0 * A * C), B if B != 0 else 1.0))
+    root = max(q / A, C / q)  # the roots q/A and C/q multiply to C/A < 0
+    if not root > alpha * L2 / lam:  # outside I2 only where the coefficients under- or overflow
         raise PlanInfeasibleError(f"no eps2 root inside I2 for lam={lam}, alpha={alpha}")
-    return inside[0]
+    return root
+
+
+def eps2_star(L1: float, L2: float, lam: float, alpha: float, eps1: float) -> float:
+    """The root of gbar1(eps2) = gbar2(eps1, eps2) inside I2, for eps1 in I1.
+
+    Clearing denominators gives the quadratic
+
+        lam*alpha*e^2
+        + (2 lam (1-alpha) L1 - alpha^2 L2 - 2 alpha L2 (2 - lam - (1-alpha) eps1)) e
+        - 2 alpha (1-alpha) L1 L2 = 0
+
+    whose leading coefficient is positive and constant term negative, so
+    there is exactly one positive root, and (since gbar1 vanishes at the left
+    end of I2 while gbar2 is positive on I1) it lies in I2.
+    """
+    _validate_moduli(L1, L2)
+    lo, hi = eps1_interval(lam, alpha)
+    if not lo < eps1 < hi:
+        raise InputError(f"eps1 must lie in I1 = ({lo}, {hi}) for lam={lam}, alpha={alpha}, got {eps1}")
+    return _eps2_star(L1, L2, lam, alpha, eps1)
+
+
+def _balanced_caps(L1, L2, lam, alpha, eps1) -> tuple[float, tuple[float, float, float, float]]:
+    """eps2_star at eps1 and the four caps there: one step of the epsilon search."""
+    eps2 = _eps2_star(L1, L2, lam, alpha, eps1)
+    return eps2, _caps(L1, L2, lam, alpha, eps1, eps2)
 
 
 def _bisect(f, a: float, b: float, fa: float, fb: float) -> float:
@@ -145,6 +158,27 @@ def _bisect(f, a: float, b: float, fa: float, fb: float) -> float:
     raise NumericalError("the eps1 bisection did not converge in 200 halvings")
 
 
+def _optimize(L1, L2, lam, alpha, lo, hi) -> tuple[float, float, tuple[float, float, float, float]]:
+    """`optimize_epsilons` on checked input and I1 = (lo, hi): eps1, eps2 and the caps there."""
+    if not lo < hi:
+        raise PlanInfeasibleError(f"empty eps1 interval for lam={lam}, alpha={alpha}")
+    a = lo * (1.0 + 1e-6)
+    b = hi * (1.0 - 1e-6)
+    if a >= b:
+        return (0.5 * (lo + hi), *_balanced_caps(L1, L2, lam, alpha, 0.5 * (lo + hi)))
+
+    def crossing(e1: float) -> float:
+        _, (_, g1, _, g3) = _balanced_caps(L1, L2, lam, alpha, e1)
+        return g1 - g3
+
+    fa, fb = crossing(a), crossing(b)
+    if fa == 0 or fb == 0 or fa * fb < 0:  # not `fa * fb <= 0`: the product can underflow
+        eps1 = _bisect(crossing, a, b, fa, fb)
+    else:
+        eps1 = max((a, b), key=lambda e1: min(_balanced_caps(L1, L2, lam, alpha, e1)[1][1:]))
+    return (eps1, *_balanced_caps(L1, L2, lam, alpha, eps1))
+
+
 def optimize_epsilons(L1: float, L2: float, lam: float, alpha: float) -> tuple[float, float]:
     """Pick (eps1, eps2) maximizing min{gbar1, gbar2, gbar3}.
 
@@ -156,31 +190,7 @@ def optimize_epsilons(L1: float, L2: float, lam: float, alpha: float) -> tuple[f
     evaluated and the better one wins.
     """
     _validate_moduli(L1, L2)
-    lo, hi = eps1_interval(lam, alpha)
-    if not lo < hi:
-        raise PlanInfeasibleError(f"empty eps1 interval for lam={lam}, alpha={alpha}")
-    a = lo * (1.0 + 1e-6)
-    b = hi * (1.0 - 1e-6)
-    if a >= b:
-        mid = 0.5 * (lo + hi)
-        return mid, eps2_star(L1, L2, lam, alpha, mid)
-
-    def crossing(e1: float) -> float:
-        e2 = eps2_star(L1, L2, lam, alpha, e1)
-        _, g1, _, g3 = gamma_bounds(L1, L2, lam, alpha, e1, e2)
-        return g1 - g3
-
-    fa, fb = crossing(a), crossing(b)
-    if fa == 0 or fb == 0 or fa * fb < 0:  # not `fa * fb <= 0`: the product can underflow
-        eps1 = _bisect(crossing, a, b, fa, fb)
-    else:
-
-        def minimum_cap(e1: float) -> float:
-            e2 = eps2_star(L1, L2, lam, alpha, e1)
-            return min(gamma_bounds(L1, L2, lam, alpha, e1, e2)[1:])
-
-        eps1 = max((a, b), key=minimum_cap)
-    return eps1, eps2_star(L1, L2, lam, alpha, eps1)
+    return _optimize(L1, L2, lam, alpha, *eps1_interval(lam, alpha))[:2]
 
 
 @dataclass(frozen=True)
@@ -216,8 +226,8 @@ def plan(L1: float, L2: float, lam: float = 1.0, alpha: float = 0.99) -> Stepsiz
     extra cap under which subsequential convergence to critical points is
     guaranteed, reported separately and never enforced.
     """
-    eps1, eps2 = optimize_epsilons(L1, L2, lam, alpha)
-    g0, g1, g2, g3 = gamma_bounds(L1, L2, lam, alpha, eps1, eps2)
+    _validate_moduli(L1, L2)
+    eps1, eps2, (g0, g1, g2, g3) = _optimize(L1, L2, lam, alpha, *eps1_interval(lam, alpha))
     gamma_upper = min(g0, g1, g2, g3, 1.0 / (L1 + L2))
     gamma_ryu = 0.99 * gamma_upper
     if not gamma_ryu > 0:

@@ -80,6 +80,9 @@ class TestInstanceGeneration:
             generate_instance(4, 4, 5, 10, seed=0)  # rank above min(m, n)
         with pytest.raises(InputError):
             generate_instance(4, 4, 2, 17, seed=0)  # more samples than entries
+        for name, size in [("m", 4.0), ("n", 4.5), ("r", 3.5), ("s", 10.0), ("r", 0), ("m", -1)]:
+            with pytest.raises(InputError, match=f"^{name} must be a positive integer"):
+                generate_instance(**{**dict(m=4, n=4, r=2, s=10, seed=0), name: size})
 
     def test_seed_must_be_a_non_negative_integer(self):
         for seed in (-1, np.int64(-1), 1.5):
@@ -277,6 +280,7 @@ class TestRunBenchmark:
         [
             (dict(sizes=[(12, 40), (2, 4)]), InputError),  # r > n
             (dict(sizes=[(12, 40), (4, 17)]), InputError),  # s > n^2
+            (dict(r=3.5), InputError),
             (dict(seeds=[0, -1]), InputError),
             (dict(algos=["dys", "bogus"]), InputError),
             (dict(alpha=math.nan), InputError),
@@ -287,7 +291,7 @@ class TestRunBenchmark:
             (dict(tau=0.0), InputError),
             (dict(gama=0.01), TypeError),  # a misspelled override
         ],
-        ids=["r>n", "s>n^2", "seed", "algo", "alpha", "lam", "ryu-gamma", "dys-gamma", "lam1", "tau", "override"],
+        ids=["r>n", "s>n^2", "r-float", "seed", "algo", "alpha", "lam", "ryu-gamma", "dys-gamma", "lam1", "tau", "override"],
     )
     def test_bad_input_raises_before_any_worker_starts(self, kw, error, monkeypatch):
         def no_pool(*args, **kwargs):
@@ -297,6 +301,13 @@ class TestRunBenchmark:
         base = dict(sizes=[(12, 40)], seeds=[0], algos=["dys"], r=3, jobs=2, stop=StoppingRule(max_iter=2))
         with pytest.raises(error):
             run_benchmark(**{**base, **kw})
+
+    def test_no_tasks_start_no_workers(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was built for no tasks")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        assert run_benchmark(seeds=[]) == []
 
     def test_jobs_default_without_an_affinity_set(self, monkeypatch):
         # os.sched_getaffinity is Linux-only

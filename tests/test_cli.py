@@ -146,6 +146,12 @@ class TestBenchCommand:
         assert rc == 2
         assert "sizes must look like" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seeds", ["0", "-1"])
+    def test_bench_without_seeds_exits_2(self, seeds, capsys):
+        rc = cli.main(["bench", "--sizes", "12:40", "--seeds", seeds, "--rank", "3", "--algos", "dys"])
+        assert rc == 2
+        assert capsys.readouterr().err == f"input error: --seeds must be a positive integer, got {seeds}\n"
+
     def test_parse_sizes(self):
         assert cli._parse_sizes("100:1000,300:10000") == [(100, 1000), (300, 10000)]
         with pytest.raises(argparse.ArgumentTypeError):

@@ -266,6 +266,9 @@ class TestDerivativeProbes:
         t = QuadraticTerm(matrix=a, center=np.zeros(6))
         est = lipschitz_probe(t, trials=60, seed=3, shape=(6,))
         assert 0.05 * lmax < est <= lmax * (1 + 1e-12)
+        for trials in (0, 2.5):
+            with pytest.raises(InputError, match="^trials must be a positive integer"):
+                lipschitz_probe(t, trials=trials, seed=3, shape=(6,))
 
 
 @pytest.mark.parametrize("module", [core, proxlib, splitting, stepsize, baselines, bench], ids=lambda m: m.__name__)

@@ -289,7 +289,7 @@ class TestIdentitiesAndDescent:
     @pytest.mark.parametrize(
         "L1, L2, eps1, eps2",
         [(math.nan, 1.0, 2.0, 2.0), (1.0, math.inf, 2.0, 2.0), (0.0, 1.0, 2.0, 2.0),
-         (1.0, 1.0, math.nan, 2.0), (1.0, 1.0, 2.0, -1.0)],
+         (1.0, 1.0, math.nan, 2.0), (1.0, 1.0, 2.0, -1.0), (1.0, 1.0, math.inf, 2.0), (1.0, 1.0, 2.0, math.inf)],
     )
     def test_descent_constants_reject_bad_moduli_and_epsilons(self, L1, L2, eps1, eps2):
         with pytest.raises(InputError):

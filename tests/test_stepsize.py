@@ -9,9 +9,12 @@ from trisplit import (
     AdaptiveController,
     InputError,
     NumericalError,
+    RelaxationParams,
     alpha_lower_bound,
+    descent_constants,
     gamma_bounds,
     plan,
+    stepsize,
 )
 from trisplit.checks import epsilon_grid
 from trisplit.stepsize import _bisect, eps1_interval, eps2_lower, eps2_star, optimize_epsilons
@@ -78,6 +81,18 @@ class TestEpsilonGeometry:
         _, g1, g2, _ = gamma_bounds(L1, L2, lam, alpha, eps1, e2)
         assert g1 == pytest.approx(g2, rel=1e-8, abs=1e-12)
 
+    @pytest.mark.parametrize("eps1", [math.nan, math.inf, 0.0, 1.0, 1e3])
+    def test_eps2_star_rejects_eps1_outside_i1(self, eps1):
+        # I1 = (alpha/(2 alpha - lam), (2 - lam)/(1 - alpha)) = (1.0102..., 100) at lam = 1, alpha = 0.99
+        with pytest.raises(InputError, match="eps1 must lie in I1"):
+            eps2_star(10.0, 1.0, 1.0, 0.99, eps1)
+
+    def test_eps2_star_and_eps2_lower_reject_lam_zero(self):
+        with pytest.raises(InputError, match="lam must lie in"):
+            eps2_star(10.0, 1.0, 0.0, 0.99, 1.0)
+        with pytest.raises(InputError, match="lam must lie in"):
+            eps2_lower(1.0, 0.0, 0.5)
+
 
 class TestPlan:
     def test_benchmark_constants(self):
@@ -99,6 +114,10 @@ class TestPlan:
         [
             ((10.0, 1.0, 1.0, 0.99), "0x1.8da51339becf6p+6", "0x1.ffe550686b845p-1", "0x1.3ddcf7ac212f5p-8", "0x1.4112eaa8b2540p-8"),
             ((2.0, 3.0, 1.2, 0.9), "0x1.eff1778c6311ap+2", "0x1.2d820fd81b972p+1", "0x1.22ad06d037e32p-7", "0x1.259cac608b330p-7"),
+            # a near-empty I1, whose inset ends cross: the I1 midpoint
+            ((0.5, 0.5, 0.5, math.nextafter(alpha_lower_bound(0.5), 1.0)), "0x1.1b8d5389ba84bp+1", "0x1.4a9fea74be3adp-2", "0x1.dfdc6a4a883c7p-53", "0x1.e4b54493b0667p-53"),
+            # no sign change of the crossing: the better I1 end
+            ((0.5, 0.5, 0.5, 0.999999999), "0x1.65a0a539b1012p+30", "0x1.000032509b5e7p+0", "0x1.983195025a7f0p-30", "0x1.9c511cfa9ea48p-30"),
         ],
     )
     def test_pinned_bits(self, args, eps1, eps2, gamma_ryu, gamma_upper):
@@ -139,8 +158,24 @@ class TestPlan:
             plan(L1, L2)
         with pytest.raises(InputError, match="L1 and L2"):
             gamma_bounds(L1, L2, 1.0, 0.99, 2.0, 2.0)
+        with pytest.raises(InputError, match="L1 and L2"):
+            eps2_star(L1, L2, 1.0, 0.99, 2.0)
+        with pytest.raises(InputError, match="L1 and L2"):
+            optimize_epsilons(L1, L2, 1.0, 0.99)
+        with pytest.raises(InputError, match="L1 and L2"):
+            descent_constants(L1, L2, RelaxationParams(0.01, 1.0, 0.9), 2.0, 2.0)
+        with pytest.raises(InputError, match="L2 must be positive and finite"):
+            eps2_lower(L2 if L1 == 1.0 else L1, 1.0, 0.99)  # the one bad modulus, as L2
 
-    @pytest.mark.parametrize("eps1, eps2", [(math.nan, 2.0), (2.0, math.nan), (0.0, 2.0)])
+    def test_plan_checks_its_input_once(self, monkeypatch):
+        calls = []
+        for name in ("_validate_moduli", "_validate_lam_alpha"):
+            check = getattr(stepsize, name)
+            monkeypatch.setattr(stepsize, name, lambda *a, check=check, name=name: calls.append(name) or check(*a))
+        plan(10.0, 1.0, 1.0, 0.99)
+        assert calls == ["_validate_moduli", "_validate_lam_alpha"]
+
+    @pytest.mark.parametrize("eps1, eps2", [(math.nan, 2.0), (2.0, math.nan), (0.0, 2.0), (math.inf, 2.0), (2.0, math.inf)])
     def test_gamma_bounds_rejects_nan_and_nonpositive_epsilons(self, eps1, eps2):
         with pytest.raises(InputError, match="eps1 and eps2"):
             gamma_bounds(1.0, 1.0, 1.0, 0.99, eps1, eps2)
