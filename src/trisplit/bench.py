@@ -192,6 +192,9 @@ def run_experiment(
     "dys" uses the baseline stepsize. `gamma` overrides the operative
     stepsize (the starting one for "ryu+"). Divergence is recorded in the
     report rather than raised.
+
+    This is the in-process library call: at large n its bits depend on the
+    caller's BLAS threads. `run_benchmark`, and so `trisplit solve`, pins them.
     """
     p, stop, params, solve, warning = _set_up(inst, algo, lam, alpha, gamma, stop)
     if warning:

@@ -21,9 +21,7 @@ from .bench import (
     ALGOS,
     DEFAULT_SIZES,
     format_summary,
-    generate_instance,
     run_benchmark,
-    run_experiment,
     summarize,
     trace_filename,
     write_summary_csv,
@@ -49,6 +47,7 @@ def _parse_sizes(text: str) -> list[tuple[int, int]]:
 
 
 def _add_protocol_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--rank", type=int, default=10)
     sub.add_argument("--lam", type=float, default=1.0, help="relaxation of the z-update")
     sub.add_argument("--alpha", type=float, default=0.99, help="prox-step relaxation")
     sub.add_argument("--lambda1", type=float, default=10.0, help="nonnegativity weight")
@@ -60,12 +59,12 @@ def _add_protocol_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--gamma", type=float, default=None, help="stepsize override")
 
 
-def _protocol_keywords(args) -> tuple[dict, dict]:
-    """The shared protocol flags, read once: the instance keywords of
-    `generate_instance` and the run keywords of `run_experiment`."""
-    instance_kw = dict(lam1=args.lambda1, lam2=args.lambda2, tau=args.tau)
-    stop = StoppingRule(prox_gamma=args.proxgamma, tol=args.tol, max_iter=args.max_iter)
-    return instance_kw, dict(lam=args.lam, alpha=args.alpha, gamma=args.gamma, stop=stop)
+def _protocol_keywords(args) -> dict:
+    """The shared protocol flags, read once, as `run_benchmark` keywords."""
+    return dict(
+        r=args.rank, lam1=args.lambda1, lam2=args.lambda2, tau=args.tau, lam=args.lam, alpha=args.alpha,
+        gamma=args.gamma, stop=StoppingRule(prox_gamma=args.proxgamma, tol=args.tol, max_iter=args.max_iter),
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -84,7 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--algo", choices=ALGOS, required=True)
     p_solve.add_argument("--n", type=int, default=100, help="matrix size (n x n)")
     p_solve.add_argument("--s", type=int, default=1000, help="number of observed entries")
-    p_solve.add_argument("--rank", type=int, default=10)
     p_solve.add_argument("--seed", type=int, default=0)
     p_solve.add_argument("--trace", default=None, help="write the iteration trace here")
     p_solve.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -100,7 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated n:s pairs, e.g. 100:1000,300:10000",
     )
     p_bench.add_argument("--algos", nargs="+", choices=ALGOS, default=list(ALGOS))
-    p_bench.add_argument("--rank", type=int, default=10)
     p_bench.add_argument(
         "--jobs", type=int, default=None, help="worker processes (default: the usable CPUs)"
     )
@@ -129,12 +126,12 @@ def cmd_plan(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    instance_kw, run_kw = _protocol_keywords(args)
-    inst = generate_instance(args.n, args.n, args.rank, args.s, args.seed, **instance_kw)
+    protocol_kw = _protocol_keywords(args)
+    _validate_count(args.n, "--n")  # else generate_instance names it m
     # open the trace file before solving, so an unwritable path costs no solve,
     # but empty it only once there is a report, so a failed run keeps the old trace
     with open(args.trace, "a", newline="") if args.trace else contextlib.nullcontext() as fh:
-        rep = run_experiment(inst, args.algo, **run_kw)
+        [rep] = run_benchmark([(args.n, args.s)], [args.seed], [args.algo], jobs=1, **protocol_kw)
         if fh:
             if os.path.isfile(args.trace):  # not a device or pipe, which cannot be truncated
                 fh.seek(0)
@@ -155,11 +152,10 @@ def cmd_bench(args) -> int:
     _validate_count(args.seeds, "--seeds")
     if args.outdir:
         Path(args.outdir).mkdir(parents=True, exist_ok=True)
-    instance_kw, run_kw = _protocol_keywords(args)
-    reports = run_benchmark(
-        sizes=args.sizes, seeds=range(args.seeds), algos=args.algos, r=args.rank, jobs=args.jobs,
-        **instance_kw, **run_kw,
-    )
+    protocol_kw = _protocol_keywords(args)
+    for n, _ in args.sizes:
+        _validate_count(n, "--sizes n")  # else generate_instance names it m
+    reports = run_benchmark(args.sizes, range(args.seeds), args.algos, jobs=args.jobs, **protocol_kw)
     rows = summarize(reports)
     print(format_summary(rows))
     if args.outdir:

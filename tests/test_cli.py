@@ -106,6 +106,27 @@ class TestSolveCommand:
         rc = cli.main(["solve", "--algo", "dys", *TINY, "--gamma", "0.05"])
         assert rc == 0
         assert "converged" in capsys.readouterr().out
+        assert not multiprocessing.active_children()  # the solve's one worker is joined
+
+    @pytest.mark.parametrize("algo", ALGOS)
+    def test_solve_trace_equals_bench_trace(self, algo, tmp_path, capsys):
+        # a 300x300 SVD's bits depend on the BLAS thread count: the traces agree
+        # because solve runs its task in a pinned worker, as bench does
+        solve_trace = tmp_path / "solve.csv"
+        rc = cli.main(
+            ["solve", "--algo", algo, "--n", "300", "--s", "10000", "--seed", "0", "--max-iter", "5", "--trace", str(solve_trace)]
+        )
+        assert rc == 0
+        rc = cli.main(["bench", "--sizes", "300:10000", "--seeds", "1", "--algos", algo, "--max-iter", "5", "--outdir", str(tmp_path)])
+        assert rc == 0
+
+        def untimed(path):
+            with open(path, newline="") as fh:
+                rows = list(csv.reader(fh))
+            assert rows[0][-1] == "time_ms" and len(rows) == 6  # the header and 5 iterations
+            return [row[:-1] for row in rows]
+
+        assert untimed(solve_trace) == untimed(tmp_path / f"trace_{algo}_300x300_s10000_seed0.csv")
 
 
 class TestBenchCommand:
@@ -146,11 +167,20 @@ class TestBenchCommand:
         assert rc == 2
         assert "sizes must look like" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("seeds", ["0", "-1"])
-    def test_bench_without_seeds_exits_2(self, seeds, capsys):
-        rc = cli.main(["bench", "--sizes", "12:40", "--seeds", seeds, "--rank", "3", "--algos", "dys"])
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            pytest.param(["bench", "--sizes", "12:40", "--seeds", "0"], "--seeds must be a positive integer, got 0", id="0"),
+            pytest.param(["bench", "--sizes", "12:40", "--seeds", "-1"], "--seeds must be a positive integer, got -1", id="-1"),
+            pytest.param(["bench", "--sizes", "0:40"], "--sizes n must be a positive integer, got 0", id="sizes-0"),
+            pytest.param(["solve", "--algo", "dys", "--n", "0", "--s", "40"], "--n must be a positive integer, got 0", id="solve-n-0"),
+        ],
+    )
+    def test_bench_without_seeds_exits_2(self, argv, message, capsys):
+        # a count below 1 is an input error that names its flag, not a parameter behind it
+        rc = cli.main([*argv, "--rank", "3"])
         assert rc == 2
-        assert capsys.readouterr().err == f"input error: --seeds must be a positive integer, got {seeds}\n"
+        assert capsys.readouterr().err == f"input error: {message}\n"
 
     def test_parse_sizes(self):
         assert cli._parse_sizes("100:1000,300:10000") == [(100, 1000), (300, 10000)]
@@ -389,21 +419,22 @@ def test_extreme_input_in_bench_prints_only_the_error_line():
     assert len(lines) == 1 and lines[0].startswith("numerical failure: "), proc.stderr
 
 
+BENCH_TWO_WORKERS = ["bench", "--sizes", "12:40", "--seeds", "2", "--algos", "dys", "--jobs", "2"]
+
+
 @pytest.mark.parametrize(
-    "flags, code, prefix",
+    "argv, code, prefix",
     [
-        (["--proxgamma", "1e308"], 3, "numerical failure: "),
-        (["--alpha", "nan"], 2, "input error: "),
+        ([*BENCH_TWO_WORKERS, "--proxgamma", "1e308"], 3, "numerical failure: "),
+        ([*BENCH_TWO_WORKERS, "--alpha", "nan"], 2, "input error: "),
+        (["solve", "--algo", "dys", "--n", "12", "--s", "40", "--proxgamma", "1e308"], 3, "numerical failure: "),
     ],
-    ids=["overflow", "bad-alpha"],
+    ids=["overflow", "bad-alpha", "solve-overflow"],
 )
-def test_failing_bench_worker_prints_only_the_error_line(flags, code, prefix, capfd):
+def test_failing_bench_worker_prints_only_the_error_line(argv, code, prefix, capfd):
     # in this process, so that the workers' stderr is captured with the
     # caller's and a worker left running would be this process's child
-    rc = cli.main(
-        ["bench", "--sizes", "12:40", "--seeds", "2", "--rank", "3", "--algos", "dys", "--max-iter", "20",
-         "--jobs", "2", *flags]
-    )
+    rc = cli.main([*argv, "--rank", "3", "--max-iter", "20"])
     assert rc == code
     lines = capfd.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(prefix), lines
