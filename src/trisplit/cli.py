@@ -47,24 +47,27 @@ def _parse_sizes(text: str) -> list[tuple[int, int]]:
 
 
 def _add_protocol_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--rank", type=int, default=10)
-    sub.add_argument("--lam", type=float, default=1.0, help="relaxation of the z-update")
-    sub.add_argument("--alpha", type=float, default=0.99, help="prox-step relaxation")
-    sub.add_argument("--lambda1", type=float, default=10.0, help="nonnegativity weight")
-    sub.add_argument("--lambda2", type=float, default=5.0, help="spectral penalty weight")
-    sub.add_argument("--tau", type=float, default=100.0, help="MCP knee")
-    sub.add_argument("--max-iter", type=int, default=20000)
-    sub.add_argument("--tol", type=float, default=1e-3, help="composite-residual tolerance")
-    sub.add_argument("--proxgamma", type=float, default=5e-3, help="residual prox stepsize")
-    sub.add_argument("--gamma", type=float, default=None, help="stepsize override")
+    sub.add_argument("--rank", type=int, dest="r", metavar="RANK")
+    sub.add_argument("--lam", type=float, help="relaxation of the z-update")
+    sub.add_argument("--alpha", type=float, help="prox-step relaxation")
+    sub.add_argument("--lambda1", type=float, dest="lam1", metavar="LAMBDA1", help="nonnegativity weight")
+    sub.add_argument("--lambda2", type=float, dest="lam2", metavar="LAMBDA2", help="spectral penalty weight")
+    sub.add_argument("--tau", type=float, help="MCP knee")
+    sub.add_argument("--max-iter", type=int)
+    sub.add_argument("--tol", type=float, help="composite-residual tolerance")
+    sub.add_argument("--proxgamma", type=float, dest="prox_gamma", metavar="PROXGAMMA", help="residual prox stepsize")
+    sub.add_argument("--gamma", type=float, help="stepsize override")
+
+
+def _given(args, *names) -> dict:
+    """The flags among `names` that the user gave; one left out is None and keeps the library's default."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
 
 
 def _protocol_keywords(args) -> dict:
     """The shared protocol flags, read once, as `run_benchmark` keywords."""
-    return dict(
-        r=args.rank, lam1=args.lambda1, lam2=args.lambda2, tau=args.tau, lam=args.lam, alpha=args.alpha,
-        gamma=args.gamma, stop=StoppingRule(prox_gamma=args.proxgamma, tol=args.tol, max_iter=args.max_iter),
-    )
+    stop = StoppingRule(**_given(args, "prox_gamma", "tol", "max_iter"))
+    return dict(_given(args, "r", "lam1", "lam2", "tau", "lam", "alpha", "gamma"), stop=stop)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -74,8 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan = subs.add_parser("plan", help="print the stepsize plan for given moduli")
     p_plan.add_argument("--l1", type=float, required=True, help="Lipschitz modulus of f1")
     p_plan.add_argument("--l2", type=float, required=True, help="Lipschitz modulus of f2")
-    p_plan.add_argument("--lam", type=float, default=1.0)
-    p_plan.add_argument("--alpha", type=float, default=0.99)
+    p_plan.add_argument("--lam", type=float)
+    p_plan.add_argument("--alpha", type=float)
     p_plan.add_argument("--format", choices=("text", "json"), default="text")
     p_plan.set_defaults(func=cmd_plan)
 
@@ -113,8 +116,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _missing(path: str) -> list[Path]:
+    """`path` and those of its ancestors that do not exist yet, innermost first."""
+    return [p for p in (Path(path), *Path(path).parents) if not os.path.lexists(p)]
+
+
+@contextlib.contextmanager
+def _removed_on_failure(made: list[Path]):
+    """If the block raises, remove `made`, the new output file or empty
+    directories, innermost first: a rejected or failed run leaves the disk as
+    it found it. Best effort, so that the run's own error is the one raised."""
+    try:
+        yield
+    except BaseException:
+        for path in made:
+            with contextlib.suppress(OSError):
+                (os.rmdir if path.is_dir() else os.remove)(path)
+        raise
+
+
 def cmd_plan(args) -> int:
-    sp = plan(args.l1, args.l2, args.lam, args.alpha)
+    sp = plan(args.l1, args.l2, **_given(args, "lam", "alpha"))
     fields = {**dataclasses.asdict(sp), "gamma_in_thm2_cap": sp.gamma_in_thm2_cap}
     if args.format == "json":
         print(json.dumps(fields, indent=1))
@@ -128,10 +150,12 @@ def cmd_plan(args) -> int:
 def cmd_solve(args) -> int:
     protocol_kw = _protocol_keywords(args)
     _validate_count(args.n, "--n")  # else generate_instance names it m
+    made = _missing(args.trace) if args.trace else []
     # open the trace file before solving, so an unwritable path costs no solve,
     # but empty it only once there is a report, so a failed run keeps the old trace
     with open(args.trace, "a", newline="") if args.trace else contextlib.nullcontext() as fh:
-        [rep] = run_benchmark([(args.n, args.s)], [args.seed], [args.algo], jobs=1, **protocol_kw)
+        with _removed_on_failure(made):
+            [rep] = run_benchmark([(args.n, args.s)], [args.seed], [args.algo], jobs=1, **protocol_kw)
         if fh:
             if os.path.isfile(args.trace):  # not a device or pipe, which cannot be truncated
                 fh.seek(0)
@@ -150,12 +174,14 @@ def cmd_solve(args) -> int:
 
 def cmd_bench(args) -> int:
     _validate_count(args.seeds, "--seeds")
+    made = _missing(args.outdir) if args.outdir else []
     if args.outdir:
         Path(args.outdir).mkdir(parents=True, exist_ok=True)
-    protocol_kw = _protocol_keywords(args)
-    for n, _ in args.sizes:
-        _validate_count(n, "--sizes n")  # else generate_instance names it m
-    reports = run_benchmark(args.sizes, range(args.seeds), args.algos, jobs=args.jobs, **protocol_kw)
+    with _removed_on_failure(made):
+        protocol_kw = _protocol_keywords(args)
+        for n, _ in args.sizes:
+            _validate_count(n, "--sizes n")  # else generate_instance names it m
+        reports = run_benchmark(args.sizes, range(args.seeds), args.algos, jobs=args.jobs, **protocol_kw)
     rows = summarize(reports)
     print(format_summary(rows))
     if args.outdir:

@@ -395,32 +395,31 @@ def _iterate(p: CompositeProblem, stop: StoppingRule, state, point: str, step):
     `step(state)` returns the next state, whose `k` is one higher, and the
     remaining IterRecord fields; the loop adds k, residual and time_ms. A
     step that changes its own parameters, such as ryu+'s stepsize, does so
-    inside `step`, from the state it is given. The loop stops when the
-    residual drops below tol or after max_iter steps, and returns the final
-    state and the records.
+    inside `step`, from the state it is given. The loop runs on one
+    condition: the last residual, the start's included, is not below tol and
+    fewer than max_iter steps have run. It returns the final state and the
+    records, which are empty for a start that already meets the tolerance.
 
     A non-finite objective or residual is divergence. On divergence the
     records so far are attached to the DivergenceError as `.trace`.
     """
     records: list[IterRecord] = []
-    if composite_residual(p, stop.prox_gamma, getattr(state, point)) < stop.tol:
-        return state, records
+    residual = composite_residual(p, stop.prox_gamma, getattr(state, point))
     t0 = time.perf_counter()
     try:
-        for _ in range(stop.max_iter):
+        while not residual < stop.tol and len(records) < stop.max_iter:
             nxt, fields = step(state)
+            residual = composite_residual(p, stop.prox_gamma, getattr(nxt, point))
             rec = IterRecord(
                 k=nxt.k,
-                residual=composite_residual(p, stop.prox_gamma, getattr(nxt, point)),
+                residual=residual,
                 time_ms=(time.perf_counter() - t0) * 1e3,
                 **fields,
             )
-            if not (math.isfinite(rec.objective) and math.isfinite(rec.residual)):
+            if not (math.isfinite(rec.objective) and math.isfinite(residual)):
                 raise DivergenceError(f"objective or residual became non-finite at iteration {rec.k}")
             records.append(rec)
             state = nxt
-            if rec.residual < stop.tol:
-                break
     except DivergenceError as err:
         err.trace = tuple(records)
         raise
@@ -437,13 +436,13 @@ def run_ryu(
 ) -> tuple[SplitState, list[IterRecord]]:
     """Iterate until the composite residual drops below tol or max_iter is hit.
 
-    Starts from z1 = z2 = 0 unless given. Envelope values are recorded
-    exactly when alpha < 1, gamma < 1/(L1+L2) (strictly, so gamma f3 stays
-    prox-bounded) and the dimension is at most 1e4; otherwise the envelope
-    field is None. `controller`, when given, may lower gamma at the start of
-    every step but the first, from the previous step's shadow-point
-    displacements (see the stepsize planner); the step's shadow points are
-    recomputed, and the envelope rule re-applied, whenever it does.
+    Starts from z1 = z2 = 0 unless given. A step records the envelope
+    exactly when alpha < 1, the gamma it ran at is below 1/(L1+L2) (strictly,
+    so gamma f3 stays prox-bounded) and the dimension is at most 1e4;
+    otherwise the envelope field is None. `controller`, when given, may lower
+    gamma at the start of every step but the first, from the previous step's
+    shadow-point displacements (see the stepsize planner); the step's shadow
+    points are recomputed whenever it does.
 
     On divergence raises DivergenceError with the trace so far attached as
     `.trace`.
@@ -452,11 +451,10 @@ def run_ryu(
     z1 = z1_0 if z1_0 is not None else p.zeros()
     z2 = z2_0 if z2_0 is not None else p.zeros()
     state = make_state(p, params, z1, z2, k=0)
-    want_envelope = _envelope_enabled(p, params)
     last = None  # the previous step's record fields, which the controller reads
 
     def step(s: SplitState):
-        nonlocal params, want_envelope, last
+        nonlocal params, last
         if controller is not None and last is not None:
             new_gamma = controller.update(
                 k=s.k,
@@ -467,13 +465,12 @@ def run_ryu(
             )
             if new_gamma != params.gamma:
                 params = replace(params, gamma=new_gamma)
-                want_envelope = _envelope_enabled(p, params)
                 # shadow points depend on gamma: refresh for the new value
                 s = make_state(p, params, s.z1, s.z2, k=s.k)
         nxt = ryu_step(p, params, s)
         last = dict(
             gamma=params.gamma,
-            envelope=state_envelope(p, params, nxt) if want_envelope else None,
+            envelope=state_envelope(p, params, nxt) if _envelope_enabled(p, params) else None,
             objective=_objective(p, nxt.x3, nxt.f3_at_x3),
             dz1=_dist(nxt.z1, s.z1),
             dz2=_dist(nxt.z2, s.z2),

@@ -20,7 +20,10 @@ from trisplit import (
     SpectralMCPTerm,
     StoppingRule,
     build_problem,
+    composite_residual,
+    evaluate_objective,
     generate_instance,
+    plan,
     run_experiment,
     summarize,
 )
@@ -149,6 +152,34 @@ class TestRunExperiment:
             run_experiment(
                 tiny_instance, "ryu", gamma=0.05, stop=StoppingRule(max_iter=2)
             )
+
+    def test_start_at_tolerance_reports_the_start(self):
+        # a tolerance the start already meets: no step runs, and the report
+        # describes the start point that each solver's stop test looked at
+        inst = generate_instance(12, 12, 3, 40, seed=0)
+        p, stop = build_problem(inst), StoppingRule(tol=1e9)
+        L1, L2 = p.f1.lipschitz, p.f2.lipschitz
+        gdys, zero = default_gamma_dys(L1, L2), p.zeros()
+        reports = {algo: run_experiment(inst, algo, stop=stop) for algo in ALGOS}
+        for algo, rep in reports.items():
+            assert rep.iterations == 0 and rep.trace == () and rep.time_ms == 0.0
+            assert rep.converged and not rep.capped and not rep.diverged
+            assert rep.envelope_monotone is None
+            if algo == "dys":  # x_g from z = 0
+                g = rep.gamma
+                x_f = p.f2.prox(g, zero)
+                x = p.f3.prox(g, 2.0 * x_f - g * p.f1.grad(x_f))
+                assert g == gdys
+            else:  # x3 from z1 = z2 = 0, at the planned stepsize or ryu+'s start
+                g, alpha = rep.gamma, 0.99
+                x1 = p.f1.prox(g, zero)
+                x2 = p.f2.prox(g / alpha, x1)
+                x = p.f3.prox(g, x1 + x2)
+                assert g == (plan(L1, L2).gamma_ryu if algo == "ryu" else 10.0 * gdys)
+            assert rep.objective == pytest.approx(evaluate_objective(p, x), rel=1e-12)
+            assert rep.residual == composite_residual(p, stop.prox_gamma, x)
+        pinned = run_benchmark([(12, 40)], [0], ALGOS, r=3, jobs=1, stop=stop)
+        assert [bitwise(rep) for rep in pinned] == [bitwise(reports[algo]) for algo in ALGOS]
 
     def test_divergence_reported_not_raised(self, tiny_instance, monkeypatch):
         def blow_up(*args, **kwargs):

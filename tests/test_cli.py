@@ -288,6 +288,37 @@ class TestExitCodes:
         with open(path, newline="") as fh:
             assert [row[0] for row in csv.reader(fh)] == ["k", "1", "2"]
 
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            pytest.param(["solve", "--algo", "ryu", "--rank", "0", "--trace", "new.csv"], 2, id="solve-rejected"),
+            pytest.param(
+                ["solve", "--algo", "dys", "--rank", "3", "--proxgamma", "1e308", "--max-iter", "20", "--trace", "new.csv"],
+                3,
+                id="solve-failed",
+            ),
+            pytest.param(
+                ["bench", "--seeds", "1", "--rank", "3", "--algos", "dys", "--tol", "-1", "--outdir", "o1/sub"],
+                2,
+                id="bench-rejected-nested",
+            ),
+            pytest.param(["bench", "--seeds", "1", "--rank", "30", "--outdir", "o2"], 2, id="bench-rejected"),
+        ],
+    )
+    def test_rejected_or_failed_run_leaves_no_new_path(self, argv, code, tmp_path, monkeypatch, capsys):
+        # the trace file and output directories are made before the run, and removed again if it fails
+        monkeypatch.chdir(tmp_path)
+        size = ["--n", "12", "--s", "40"] if argv[0] == "solve" else ["--sizes", "12:40"]
+        assert cli.main([*argv, *size]) == code
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_trace_to_a_device(self, capsys):
+        # a device cannot be truncated: the trace is written to it as it is
+        rc = cli.main(["solve", "--algo", "dys", *TINY, "--max-iter", "5", "--trace", os.devnull])
+        assert rc == 0
+        assert f"trace written to {os.devnull}" in capsys.readouterr().out
+
     def test_bench_outdir_that_is_a_file_exits_2(self, tmp_path, capsys):
         path = tmp_path / "taken"
         path.write_text("")

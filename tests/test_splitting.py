@@ -426,6 +426,14 @@ class TestRunRyu:
         _, objectives = self.replay(prob, trace)
         assert [r.objective for r in trace] == pytest.approx(objectives, rel=1e-12)
 
+    def test_a_step_records_the_envelope_exactly_below_the_prox_bound(self):
+        # the cutting run starts above 1/(L1+L2) and cuts down to a floor below it
+        prob, _, ctrl, _, trace = self.cutting_run(StoppingRule(tol=1e-10, max_iter=200))
+        bound = 1.0 / (prob.f1.lipschitz + prob.f2.lipschitz)
+        assert trace[0].gamma > bound > ctrl.floor
+        assert [r.envelope is not None for r in trace] == [r.gamma < bound for r in trace]
+        assert {r.envelope is None for r in trace} == {True, False}
+
     def test_controller_is_not_consulted_after_the_last_iteration(self):
         # a cut after the third and last step would return a state rebuilt at
         # a stepsize that no iteration ran at
