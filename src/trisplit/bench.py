@@ -302,10 +302,11 @@ def trace_filename(algo: str, m: int, n: int, s: int, seed: int) -> str:
 
 
 # Every benchmark worker starts with BLAS and OpenMP pinned to one thread, so
-# no worker's SVDs start threads of their own and the bits of a 300x300 SVD do
-# not depend on `jobs`. The malloc pad keeps the SVD workspaces in pages the
-# heap already holds: without it a ryu iteration takes about 160 minor page
-# faults at 100x100 and 2100 at 300x300, and a 4 MiB pad mends only the first.
+# no worker's spectral prox starts threads of its own and the bits of a
+# 300x300 prox do not depend on `jobs`. The malloc pad keeps the SVD
+# workspaces in pages the heap already holds: without it a ryu iteration
+# takes about 160 minor page faults at 100x100 and 2100 at 300x300, and a
+# 4 MiB pad mends only the first.
 WORKER_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MALLOC_TOP_PAD_": str(64 << 20)}
 
 
@@ -351,7 +352,7 @@ def run_benchmark(
     one thread (`WORKER_ENV`). `jobs` defaults to the usable CPUs. jobs=1
     runs one pinned worker too, and runs are deterministic per (seed, algo,
     overrides), so the reports do not depend on `jobs`, not even at sizes
-    where an SVD's bits depend on the BLAS thread count.
+    where a spectral prox's bits depend on the BLAS thread count.
 
     Reports come back in task order. Each task runs under the caller's numpy
     error state, and its warnings are re-emitted here, under the caller's

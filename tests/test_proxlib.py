@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -240,6 +242,95 @@ class TestParameterValidation:
         assert SeparableMCPTerm(weight=2.0, tau=float("inf")).value(x) == pytest.approx(8.0)
 
 
+def svd_prox(term, gamma, a):
+    """The thin-SVD prox and its value, written out as the reference for the Gram path."""
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    s_new = prox_scalar_mcp(term.weight, term.tau, gamma, s)
+    return (u * s_new) @ vt, term.weight * float(np.sum(mcp_value(s_new, term.tau)))
+
+
+def with_singular_values(m, n, s, seed=0):
+    """An m x n matrix whose nonzero singular values are `s`."""
+    rng = np.random.default_rng(seed)
+    q1 = np.linalg.qr(rng.standard_normal((m, m)))[0][:, : len(s)]
+    q2 = np.linalg.qr(rng.standard_normal((n, n)))[0][:, : len(s)]
+    return (q1 * np.asarray(s)) @ q2.T
+
+
+def fail(*args, **kwargs):
+    raise np.linalg.LinAlgError("did not converge")
+
+
+GAUSSIAN = np.random.default_rng(5).standard_normal((7, 7)) * 3.0
+GRAM_CASES = {
+    # (term, gamma, input); every kept singular value is far above the Gram
+    # matrix's resolution, so the prox takes the Gram path
+    "square": (SpectralMCPTerm(1.0, 10.0), 0.5, GAUSSIAN),
+    "tall-7x5": (SpectralMCPTerm(1.0, 10.0), 0.5, GAUSSIAN[:, :5]),
+    "wide-5x7": (SpectralMCPTerm(1.0, 10.0), 0.5, GAUSSIAN[:5]),
+    "rank-2": (SpectralMCPTerm(1.0, 10.0), 0.5, with_singular_values(7, 5, [4.0, 2.0])),
+    "wide-rank-2": (SpectralMCPTerm(1.0, 10.0), 0.5, with_singular_values(5, 7, [4.0, 2.0])),
+    "zero": (SpectralMCPTerm(1.0, 10.0), 0.5, np.zeros((6, 6))),
+    "clustered": (
+        SpectralMCPTerm(1.0, 10.0), 0.5, with_singular_values(6, 5, [5.0, 5.0 + 1e-12, 5.0 + 2e-12, 5.0, 2.0])
+    ),
+    "gamma-w-above-tau": (SpectralMCPTerm(3.0, 1.0), 1.0, with_singular_values(7, 6, [6.0, 4.0, 2.5, 1.0, 0.5])),
+    "tau-inf": (SpectralMCPTerm(1.0, float("inf")), 0.5, GAUSSIAN[:6]),
+}
+
+TINY = 1e-170 * np.random.default_rng(4).standard_normal((6, 6))
+FALLBACK_CASES = {
+    # (term, gamma, input, whether eigh raises)
+    # sigma = 1e-2 is kept, but sigma^2 = 1e-4 is within 1e4 times the Gram
+    # matrix's resolution of 5 * eps * (1e4)^2
+    "guard": (SpectralMCPTerm(0.01, 100.0), 0.1, with_singular_values(5, 3, [1e4, 1.0, 1e-2]), False),
+    # a^T a underflows to zero, while the threshold keeps every sigma
+    "underflow-weight-0": (SpectralMCPTerm(0.0, 10.0), 1.0, TINY, False),
+    "underflow-weight-1e-300": (SpectralMCPTerm(1e-300, 10.0), 1.0, TINY, False),
+    "eigh-fails": (*GRAM_CASES["square"], True),
+}
+
+
+class TestSpectralGramPath:
+    @pytest.mark.parametrize("case", GRAM_CASES.values(), ids=GRAM_CASES.keys())
+    def test_matches_the_svd_prox(self, case, monkeypatch):
+        term, gamma, a = case
+        ref, ref_val = svd_prox(term, gamma, a)
+        monkeypatch.setattr(np.linalg, "svd", fail)  # so a fallback would raise
+        out, val = term.prox_with_value(gamma, RealVector(a))
+        assert np.linalg.norm(out.mat - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert val == pytest.approx(ref_val, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("case", FALLBACK_CASES.values(), ids=FALLBACK_CASES.keys())
+    def test_falls_back_to_the_svd_bits(self, case, monkeypatch):
+        term, gamma, a, eigh_fails = case
+        ref, ref_val = svd_prox(term, gamma, a)
+        if eigh_fails:
+            monkeypatch.setattr(np.linalg, "eigh", fail)
+        out, val = term.prox_with_value(gamma, RealVector(a))
+        npt.assert_array_equal(out.mat, ref)
+        assert val == ref_val
+
+    @pytest.mark.parametrize("huge", [np.s_[:, :], np.s_[:, :1]], ids=["all-entries", "one-column"])
+    def test_overflowing_gram_matrix_falls_back_to_the_svd_bits(self, huge):
+        # entries near 1e200 overflow a^T a; the SVD path still works and
+        # warns only where it squares the output's singular values. With one
+        # such column, eigh returns NaNs for the overflowed Gram matrix
+        # instead of raising.
+        term, gamma = SpectralMCPTerm(5.0, 100.0), 0.5
+        a = np.random.default_rng(3).standard_normal((5, 5))
+        a[huge] *= 1e200
+        with warnings.catch_warnings(record=True) as want:
+            warnings.simplefilter("always")
+            ref, ref_val = svd_prox(term, gamma, a)
+        with warnings.catch_warnings(record=True) as got:
+            warnings.simplefilter("always")
+            out, val = term.prox_with_value(gamma, RealVector(a))
+        npt.assert_array_equal(out.mat, ref)
+        assert val == ref_val
+        assert [str(w.message) for w in got] == [str(w.message) for w in want]
+
+
 class TestSpectralSVDFailure:
     @pytest.fixture(autouse=True)
     def failing_svd(self, monkeypatch):
@@ -247,6 +338,7 @@ class TestSpectralSVDFailure:
             raise np.linalg.LinAlgError("SVD did not converge")
 
         monkeypatch.setattr(np.linalg, "svd", svd)
+        monkeypatch.setattr(np.linalg, "eigh", svd)
 
     def test_value_maps_to_numerical_error(self):
         t = SpectralMCPTerm(weight=1.0, tau=2.0)
