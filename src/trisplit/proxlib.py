@@ -47,9 +47,10 @@ def _validate_penalty(weight: float, tau: float | None = None) -> None:
 
 
 def mcp_value(t, tau: float):
-    """Minimax-concave penalty |t| - t^2/(2 tau), saturating at tau/2."""
-    a = np.abs(np.asarray(t, dtype=np.float64))
-    return np.where(a <= tau, a - a * a / (2.0 * tau), tau / 2.0)
+    """Minimax-concave penalty |t| - t^2/(2 tau) on |t| clamped to tau, so tau/2 past the knee."""
+    a = np.minimum(np.abs(np.asarray(t, dtype=np.float64)), tau)
+    with np.errstate(under="ignore"):  # an underflowing t^2/(2 tau) is below the last bit of |t|
+        return a - a * (0.5 * (a / tau))  # not a / (2 tau): 2 tau overflows past 9e307
 
 
 def soft_threshold(v, thresh: float):
@@ -62,22 +63,19 @@ def prox_scalar_mcp(weight: float, tau: float, gamma: float, v):
 
     For gamma*weight < tau the objective is strongly convex and the firm
     threshold applies: 0, then linear rescaling, then identity past tau.
-    For gamma*weight >= tau the middle piece turns concave and only 0 and
-    sign(v)*max(tau, |v|) can minimize; they are compared directly with ties
-    broken toward the smaller magnitude.
+    For a = gamma*weight >= tau it is concave on [-tau, 0] and on [0, tau],
+    and the penalty is flat past tau, so only 0 and v can minimize: v wins
+    when v^2/2 > a*tau/2, that is |v| > sqrt(a*tau) >= tau; ties go to 0.
     """
     _validate_penalty(weight, tau)
     _validate_gamma(gamma)
     a = gamma * weight
     arr = np.asarray(v, dtype=np.float64)
+    av = np.abs(arr)
     if a >= tau:
-        big = np.sign(arr) * np.maximum(tau, np.abs(arr))
-        at_zero = 0.5 * arr * arr
-        at_big = a * (tau / 2.0) + 0.5 * (big - arr) ** 2
-        out = np.where(at_big < at_zero, big, 0.0)
+        out = np.where(av > np.sqrt(a) * np.sqrt(tau), arr, 0.0)  # sqrt(a*tau) may overflow
     else:
-        av = np.abs(arr)
-        mid = np.sign(arr) * (av - a) / (1.0 - a / tau)
+        mid = np.sign(arr) * (np.minimum(av, tau) - a) / (1.0 - a / tau)
         out = np.where(av <= a, 0.0, np.where(av <= tau, mid, arr))
     if np.ndim(v) == 0:
         return float(out)

@@ -195,7 +195,13 @@ def optimize_epsilons(L1: float, L2: float, lam: float, alpha: float) -> tuple[f
 
 @dataclass(frozen=True)
 class StepsizePlan:
-    """Everything the solvers need to pick a safe stepsize."""
+    """Everything the solvers need to pick a safe stepsize.
+
+    thm2_cap lies above gamma_upper on every plan: gbar0 = lam/(2 L1) is below
+    alpha/L1 because alpha > alpha_bar > lam/2, and gbar3 is below
+    (1-alpha)/L2 by its form. So a stepsize above thm2_cap is above the
+    certified descent range too.
+    """
 
     l1: float
     l2: float
@@ -224,7 +230,9 @@ def plan(L1: float, L2: float, lam: float = 1.0, alpha: float = 0.99) -> Stepsiz
     gamma_ryu = 0.99 min{gbar0..gbar3, 1/(L1+L2)} always lies strictly inside
     the admissible interval; thm2_cap = min{alpha/L1, (1-alpha)/L2} is the
     extra cap under which subsequential convergence to critical points is
-    guaranteed, reported separately and never enforced.
+    guaranteed, reported separately and never enforced. It always exceeds
+    gamma_upper (see `StepsizePlan`): a stepsize in (gamma_upper, thm2_cap] is
+    outside the certified range yet below this cap.
     """
     _validate_moduli(L1, L2)
     eps1, eps2, (g0, g1, g2, g3) = _optimize(L1, L2, lam, alpha, *eps1_interval(lam, alpha))

@@ -16,13 +16,14 @@ def rng():
 
 @pytest.fixture(scope="session")
 def tiny_instance():
-    """12x9 rank-3 completion instance: big enough to exercise the SVD path."""
+    """12x9 rank-3 completion instance: its spectral prox takes the Gram path
+    on a non-square matrix, at a size every solver runs in milliseconds."""
     return generate_instance(**SMALL_BENCH)
 
 
 def pytest_collection_modifyitems(config, items):
     # Criteria 7-8 share the full 5-seed benchmark protocol, which takes about
-    # 6 minutes on a 2-core machine. Mark them `protocol` (so `-m "not
+    # 3 minutes on a 2-core machine. Mark them `protocol` (so `-m "not
     # protocol"` runs everything else) and run them after every other test so
     # the quick ones report first; the order within each group is kept.
     for item in items:

@@ -156,6 +156,18 @@ class TestRunExperiment:
                 tiny_instance, "ryu", gamma=0.05, stop=StoppingRule(max_iter=2)
             )
 
+    def test_stepsize_warning_claims_no_guarantee(self, tiny_instance):
+        # the warning fires above thm2_cap, and every plan puts thm2_cap above
+        # gamma_upper, the planner's certified descent cap
+        with pytest.warns(RuntimeWarning, match="exceeds min") as caught:
+            rep = run_experiment(tiny_instance, "ryu", gamma=0.05, stop=StoppingRule(max_iter=2))
+        p = build_problem(tiny_instance)
+        sp = plan(p.f1.lipschitz, p.f2.lipschitz)
+        assert sp.gamma_upper < sp.thm2_cap < rep.gamma
+        (msg,) = [str(w.message) for w in caught if "exceeds min" in str(w.message)]
+        assert "holds" not in msg
+        assert msg.endswith("neither the envelope-descent nor the subsequential-convergence guarantee applies")
+
     def test_start_at_tolerance_reports_the_start(self):
         # a tolerance the start already meets: no step runs, and the report
         # describes the start point that each solver's stop test looked at

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -313,10 +314,10 @@ class TestSpectralGramPath:
 
     @pytest.mark.parametrize("huge", [np.s_[:, :], np.s_[:, :1]], ids=["all-entries", "one-column"])
     def test_overflowing_gram_matrix_falls_back_to_the_svd_bits(self, huge):
-        # entries near 1e200 overflow a^T a; the SVD path still works and
-        # warns only where it squares the output's singular values. With one
-        # such column, eigh returns NaNs for the overflowed Gram matrix
-        # instead of raising.
+        # entries near 1e200 overflow a^T a; the SVD path still works, and
+        # the prox warns only where the SVD path does (nowhere, as the penalty
+        # squares no singular value past its knee). With one such column,
+        # eigh returns NaNs for the overflowed Gram matrix instead of raising.
         term, gamma = SpectralMCPTerm(5.0, 100.0), 0.5
         a = np.random.default_rng(3).standard_normal((5, 5))
         a[huge] *= 1e200
@@ -409,6 +410,91 @@ class TestSeparableMCP:
         t = SeparableMCPTerm(weight=2.0, tau=4.0)
         x = RealVector([0.0, 4.0, -10.0], (3,))
         assert t.value(x) == pytest.approx(2.0 * (0.0 + 2.0 + 2.0))
+
+
+def candidate_comparison_prox(weight, tau, gamma, v):
+    """The scalar MCP prox written out the long way: in the regime
+    gamma*weight >= tau it compares the objectives of 0 and of
+    sign(v)*max(tau, |v|), and the firm threshold rescales every entry."""
+    a = gamma * weight
+    if a >= tau:
+        big = np.sign(v) * np.maximum(tau, np.abs(v))
+        at_zero = 0.5 * v * v
+        at_big = a * (tau / 2.0) + 0.5 * (big - v) ** 2
+        return np.where(at_big < at_zero, big, 0.0)
+    av = np.abs(v)
+    mid = np.sign(v) * (av - a) / (1.0 - a / tau)
+    return np.where(av <= a, 0.0, np.where(av <= tau, mid, v))
+
+
+@pytest.mark.parametrize("tau", [0.01, 1.0, 100.0])
+@pytest.mark.parametrize("ratio", [0.0, 0.1, 0.5, 0.99, 1.0, 1.5, 4.0, 100.0])  # gamma*weight / tau
+def test_scalar_mcp_prox_matches_the_candidate_comparison_bit_for_bit(tau, ratio):
+    gamma, weight = 0.5, 2.0 * ratio * tau
+    a = gamma * weight
+    v = np.random.default_rng(7).standard_normal(20000) * 3.0 * max(a, tau)
+    knots = [0.0, a, tau, np.nextafter(tau, 0.0), np.nextafter(tau, np.inf)]
+    v = np.concatenate([v, knots, np.negative(knots)])
+    if a >= tau:  # the two ways round the hard threshold sqrt(a*tau) apart by an ulp or two
+        thresh = np.sqrt(a * tau)
+        v = v[np.abs(np.abs(v) - thresh) > 4.0 * np.spacing(thresh)]
+    with np.errstate(all="raise"):  # on these inputs the long way neither overflows nor underflows
+        want = candidate_comparison_prox(weight, tau, gamma, v)
+        got = prox_scalar_mcp(weight, tau, gamma, v)
+    npt.assert_array_equal(got, want)
+    assert np.signbit(got).tolist() == np.signbit(want).tolist()
+
+
+SCALES = [0.0, 1e-300, 1.0, 1e150, 1e160, 1e200, 1e300, 1.7e308]
+TAUS = [1e-3, 1.0, 100.0, 1e200, 1e308, np.inf]
+
+
+def regimes(tau):
+    """(gamma, weight) with gamma*weight at tau/2 (firm threshold), and at tau
+    and 1.5 tau (hard threshold); tau = inf has only the firm regime."""
+    if tau == np.inf:
+        return [(1.0, 1.0)]
+    return [(f * tau, 1.0) for f in (0.5, 1.0, 1.5)]
+
+
+class TestFiniteAtEveryScale:
+    """No MCP oracle overflows, underflows or turns invalid, from 0 to the
+    largest float and from tau = 1e-3 to the l1 limit tau = inf."""
+
+    @pytest.mark.parametrize("tau", TAUS)
+    def test_mcp_value(self, tau):
+        t = np.array(SCALES + [-s for s in SCALES])
+        with np.errstate(all="raise"):
+            got = mcp_value(t, tau)
+        assert np.isfinite(got).all()
+        npt.assert_array_equal(got[np.abs(t) >= tau], tau / 2.0)
+        if tau == np.inf:
+            npt.assert_array_equal(got, np.abs(t))
+
+    @pytest.mark.parametrize("tau", TAUS)
+    def test_prox_scalar_mcp(self, tau):
+        v = np.array(SCALES + [-s for s in SCALES])
+        for gamma, weight in regimes(tau):
+            with np.errstate(all="raise"):
+                got = prox_scalar_mcp(weight, tau, gamma, v)
+            assert np.isfinite(got).all()
+            if gamma * weight >= tau:
+                kept = np.abs(v) > math.sqrt(gamma * weight) * math.sqrt(tau)
+                npt.assert_array_equal(got, np.where(kept, v, 0.0))
+
+    @pytest.mark.parametrize("t", SCALES)
+    @pytest.mark.parametrize("tau", TAUS)
+    def test_spectral_and_separable_terms(self, tau, t):
+        for gamma, weight in regimes(tau):
+            for term, x in [
+                (SpectralMCPTerm(weight, tau), RealVector(np.diag([t, 1.0, 0.5]))),
+                (SeparableMCPTerm(weight, tau), RealVector([-t, 1.0, 0.5])),
+            ]:
+                with np.errstate(all="raise"):
+                    value = term.value(x)
+                    out, out_value = term.prox_with_value(gamma, x)
+                assert np.isfinite([value, out_value]).all()
+                assert np.isfinite(out.data).all()
 
 
 Z = RealVector([[1.0, -2.0], [0.5, 3.0]])

@@ -144,6 +144,14 @@ class TestPlan:
             assert g > 0
         assert 0 < p.gamma_ryu < min(p.gbar0, p.gbar1, p.gbar2, p.gbar3, 1.0 / (L1 + L2))
 
+    @pytest.mark.parametrize("L1, L2", [(10.0, 1.0), (2.0, 3.0), (1.0, 1.0), (1.0, 10.0), (0.1, 100.0)])
+    def test_thm2_cap_lies_above_the_certified_range(self, L1, L2):
+        # gbar0 = lam/(2 L1) < alpha/L1 since alpha > lam/2, and gbar3 < (1-alpha)/L2
+        for lam in (0.05, 0.25, 0.5, 1.0, 1.5, 1.95):
+            for frac in (1e-6, 0.01, 0.1, 0.5, 0.9, 0.99, 0.999999):
+                p = plan(L1, L2, lam=lam, alpha=admissible_alpha(lam, frac))
+                assert p.gamma_upper < p.thm2_cap
+
     def test_plan_rejects_inadmissible_alpha(self):
         with pytest.raises(InputError):
             plan(1.0, 1.0, lam=1.0, alpha=0.5)
