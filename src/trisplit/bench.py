@@ -191,7 +191,9 @@ def run_experiment(
     controller at 10x the baseline stepsize and shrinks toward gamma_ryu,
     "dys" uses the baseline stepsize. `gamma` overrides the operative
     stepsize (the starting one for "ryu+"). Divergence is recorded in the
-    report rather than raised.
+    report rather than raised; a diverged run's `residual` is its last
+    row's, which may be a certified upper bound rather than the exact
+    residual. A converged or capped run's is exact.
 
     This is the in-process library call: at large n its bits depend on the
     caller's BLAS threads. `run_benchmark`, and so `trisplit solve`, pins them.

@@ -229,7 +229,19 @@ class ProxTerm:
     `prox(gamma, z)` returns one minimizer of f(y) + ||y - z||^2 / (2 gamma);
     it must be deterministic, and where the minimizer set has several points
     a fixed tie-break applies (see the prox library).
+
+    `weak_convexity` is a stated modulus rho >= 0 such that
+    f + (rho/2)||.||^2 is convex: 0 for a convex term, None (the default)
+    when the term states nothing. A term that states it lets the solvers
+    bound the stopping residual from the subgradient their own prox step
+    yields, with no second prox. For a spectral function
+    X -> sum_i phi(sigma_i(X)), Lewis (SIAM J. Optim. 1996) gives
+    convexity from that of the even scalar phi + (rho/2) t^2.
     """
+
+    @property
+    def weak_convexity(self) -> float | None:
+        return None
 
     def value(self, x: RealVector) -> float:
         raise NotImplementedError

@@ -213,6 +213,12 @@ class SpectralMCPTerm(ProxTerm):
     def __post_init__(self):
         _validate_penalty(self.weight, self.tau)
 
+    @property
+    def weak_convexity(self) -> float:
+        """weight/tau: w*mcp(t) + (w/(2 tau)) t^2 is w|t| up to tau and convex past it,
+        so by Lewis's theorem f3 + (rho/2)||X||_F^2, its spectral sum, is convex."""
+        return self.weight / self.tau
+
     @staticmethod
     def _matrix(x: RealVector) -> np.ndarray:
         if len(x.shape) != 2:
@@ -320,6 +326,7 @@ class ScaledL1Term(ProxTerm):
     """w * ||x||_1 with the soft-threshold prox."""
 
     weight: float = 1.0
+    weak_convexity = 0.0
 
     def __post_init__(self):
         _validate_penalty(self.weight)
@@ -342,6 +349,11 @@ class SeparableMCPTerm(ProxTerm):
     def __post_init__(self):
         _validate_penalty(self.weight, self.tau)
 
+    @property
+    def weak_convexity(self) -> float:
+        """weight/tau, as for the spectral MCP."""
+        return self.weight / self.tau
+
     def value(self, x: RealVector) -> float:
         return self.weight * float(np.sum(mcp_value(x.data, self.tau)))
 
@@ -352,6 +364,8 @@ class SeparableMCPTerm(ProxTerm):
 @dataclass(frozen=True)
 class ZeroProxTerm(ProxTerm):
     """Identically zero prox-friendly term; prox is the identity."""
+
+    weak_convexity = 0.0
 
     def value(self, x: RealVector) -> float:
         return 0.0

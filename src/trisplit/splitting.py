@@ -112,7 +112,13 @@ class SplitState:
 
 @dataclass(frozen=True)
 class IterRecord:
-    """Per-iteration diagnostics; norms of the displacements and gaps."""
+    """Per-iteration diagnostics; norms of the displacements and gaps.
+
+    `residual` is the exact composite residual within the stop test's window
+    (below CERTIFICATE_WINDOW * tol) and on the last row the budget allows;
+    elsewhere, where f3 states a weak-convexity modulus, it is the certified
+    upper bound on it that `_iterate` takes instead (see there).
+    """
 
     k: int
     gamma: float
@@ -143,7 +149,13 @@ class DescentConstants:
 
 @dataclass(frozen=True)
 class StoppingRule:
-    """Composite-residual stopping: stop when residual < tol or k = max_iter."""
+    """Composite-residual stopping: stop when residual < tol or k = max_iter.
+
+    The test reads only exact residuals. Where f3 states its weak-convexity
+    modulus, a certified upper bound stands in for the residual on steps
+    where that bound is at least CERTIFICATE_WINDOW * tol, and such a step
+    does not stop the run (see `_iterate`).
+    """
 
     prox_gamma: float = 5e-3
     tol: float = 1e-3
@@ -334,6 +346,9 @@ def composite_residual(p: CompositeProblem, prox_gamma: float, x: RealVector) ->
     """||x - prox_{g f3}(x - g (grad f1(x) + grad f2(x)))|| with g = prox_gamma.
 
     Zero exactly at critical points of f1 + f2 + f3; the stopping criterion.
+    The solvers take it at the start, inside the stop test's window and on
+    the last step the budget allows, and elsewhere record a certified upper
+    bound that needs no prox when f3 states its weak-convexity modulus.
     """
     _validate_gamma(prox_gamma, "prox_gamma")
     p.check_shape(x)
@@ -388,28 +403,72 @@ def _envelope_enabled(p: CompositeProblem, params: RelaxationParams) -> bool:
     return params.alpha < 1.0 and params.gamma < cap and p.dim <= 10_000
 
 
+# The exact residual is taken where the certificate is below this many
+# tolerances. Certificate/residual ratios measured on protocol seeds 0-4
+# (100:1000), with the exact residual taken at every iteration: ryu+ 1.055 to
+# 1.240 at its stop and at most 1.465 anywhere in a run; dys 1.0003 at its
+# stop and at most 1.006; ryu at most 1.003 over 3000 iterations. So every
+# stop these runs make falls inside the window, and comes at the iteration
+# the exact test alone gives.
+CERTIFICATE_WINDOW = 2.0
+
+
+def _certificate(p: CompositeProblem, prox_gamma: float, rho: float, x: RealVector, u: np.ndarray) -> float:
+    """g ||u + grad f1(x) + grad f2(x)|| / (1 - g rho), with g = prox_gamma.
+
+    An upper bound on `composite_residual(p, g, x)` when u is a subgradient
+    of a rho-weakly convex f3 at x and g rho < 1: then x = prox_{g f3}(x + g u),
+    and prox_{g f3} is 1/(1 - g rho)-Lipschitz (Drusvyatskiy & Lewis, Math.
+    Oper. Res. 2018). x = prox_{gamma f3}(anchor) makes u = (anchor - x)/gamma
+    such a subgradient, so the bound costs two gradients and no prox.
+    """
+    v = u + p.f1.grad(x).data + p.f2.grad(x).data
+    return prox_gamma * float(np.linalg.norm(v)) / (1.0 - prox_gamma * rho)
+
+
 def _iterate(p: CompositeProblem, stop: StoppingRule, state, point: str, step):
     """The iteration loop shared by every solver.
 
     `point` names the state attribute the composite residual is taken at.
-    `step(state)` returns the next state, whose `k` is one higher, and the
-    remaining IterRecord fields; the loop adds k, residual and time_ms. A
-    step that changes its own parameters, such as ryu+'s stepsize, does so
-    inside `step`, from the state it is given. The loop runs on one
-    condition: the last residual, the start's included, is not below tol and
-    fewer than max_iter steps have run. It returns the final state and the
-    records, which are empty for a start that already meets the tolerance.
+    `step(state)` returns the next state, whose `k` is one higher, the
+    remaining IterRecord fields, and the subgradient of f3 at the point that
+    the step's f3 prox yields, (anchor - point)/gamma as a flat array; the
+    loop adds k, residual and time_ms. A step that changes its own
+    parameters, such as ryu+'s stepsize, does so inside `step`, from the
+    state it is given. The loop runs on one condition: the last residual, the
+    start's included, is not below tol and fewer than max_iter steps have
+    run. It returns the final state and the records, which are empty for a
+    start that already meets the tolerance.
 
-    A non-finite objective or residual is divergence. On divergence the
-    records so far are attached to the DivergenceError as `.trace`.
+    The residual is the exact `composite_residual` at the start, on the last
+    step the budget allows, and wherever f3 states no weak-convexity modulus
+    rho or prox_gamma * rho >= 1. Elsewhere the step's subgradient gives a
+    certificate, an upper bound on it (`_certificate`), and the exact
+    residual is taken only where the certificate is below
+    CERTIFICATE_WINDOW * tol. So a run stops only on an exact residual below
+    tol, at the same iteration as on the exact residual alone unless the
+    certificate there exceeds it CERTIFICATE_WINDOW-fold, and a converged
+    or capped run's last record holds the exact residual.
+
+    A non-finite objective, residual or certificate is divergence. On
+    divergence the records so far are attached to the DivergenceError as
+    `.trace`.
     """
     records: list[IterRecord] = []
+    rho = p.f3.weak_convexity
+    certify = rho is not None and stop.prox_gamma * rho < 1.0
     residual = composite_residual(p, stop.prox_gamma, getattr(state, point))
     t0 = time.perf_counter()
     try:
         while not residual < stop.tol and len(records) < stop.max_iter:
-            nxt, fields = step(state)
-            residual = composite_residual(p, stop.prox_gamma, getattr(nxt, point))
+            nxt, fields, u = step(state)
+            x = getattr(nxt, point)
+            exact = not certify or len(records) + 1 == stop.max_iter
+            if not exact:  # a non-finite certificate fails this test and is kept, so it diverges below
+                residual = _certificate(p, stop.prox_gamma, rho, x, u)
+                exact = residual < CERTIFICATE_WINDOW * stop.tol
+            if exact:
+                residual = composite_residual(p, stop.prox_gamma, x)
             rec = IterRecord(
                 k=nxt.k,
                 residual=residual,
@@ -436,10 +495,12 @@ def run_ryu(
 ) -> tuple[SplitState, list[IterRecord]]:
     """Iterate until the composite residual drops below tol or max_iter is hit.
 
-    Starts from z1 = z2 = 0 unless given. A step records the envelope
-    exactly when alpha < 1, the gamma it ran at is below 1/(L1+L2) (strictly,
-    so gamma f3 stays prox-bounded) and the dimension is at most 1e4;
-    otherwise the envelope field is None. `controller`, when given, may lower
+    The stop test reads the exact residual; a trace row away from the
+    tolerance may instead hold its certified upper bound (see `_iterate`),
+    which needs no second prox. Starts from z1 = z2 = 0 unless given. A step
+    records the envelope exactly when alpha < 1, the gamma it ran at is
+    below 1/(L1+L2) (strictly, so gamma f3 stays prox-bounded) and the
+    dimension is at most 1e4; otherwise the envelope field is None. `controller`, when given, may lower
     gamma at the start of every step but the first, from the previous step's
     shadow-point displacements (see the stepsize planner); the step's shadow
     points are recomputed whenever it does.
@@ -479,7 +540,8 @@ def run_ryu(
             gap31=_dist(nxt.x3, nxt.x1),
             gap32=_dist(nxt.x3, nxt.x2),
         )
-        return nxt, last
+        anchor = nxt.x1.data - nxt.z1.data + nxt.x2.data - nxt.z2.data  # as make_state formed it
+        return nxt, last, (anchor - nxt.x3.data) / params.gamma
 
     return _iterate(p, stop, state, "x3", step)
 

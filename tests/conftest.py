@@ -22,7 +22,7 @@ def tiny_instance():
 
 
 def pytest_collection_modifyitems(config, items):
-    # Criteria 7-8 share the full 5-seed benchmark protocol, which takes about
+    # Criteria 7-8 share the full 5-seed benchmark protocol, which takes under
     # 3 minutes on a 2-core machine. Mark them `protocol` (so `-m "not
     # protocol"` runs everything else) and run them after every other test so
     # the quick ones report first; the order within each group is kept.

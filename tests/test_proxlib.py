@@ -13,6 +13,7 @@ from trisplit import (
     MaskedQuadraticTerm,
     NonnegDistanceTerm,
     NumericalError,
+    ProxTerm,
     QuadraticTerm,
     RealVector,
     ScaledL1Term,
@@ -410,6 +411,71 @@ class TestSeparableMCP:
         t = SeparableMCPTerm(weight=2.0, tau=4.0)
         x = RealVector([0.0, 4.0, -10.0], (3,))
         assert t.value(x) == pytest.approx(2.0 * (0.0 + 2.0 + 2.0))
+
+
+def midpoint_slacks(term, rho, pairs):
+    """(h(x) + h(y))/2 - h((x + y)/2) for h = term + (rho/2)||.||^2, per pair;
+    (rho/2)'s share is rho ||x - y||^2 / 8."""
+    out = []
+    for x, y in pairs:
+        mid = x.with_data(0.5 * (x.data + y.data))
+        gap = 0.5 * (term.value(x) + term.value(y)) - term.value(mid)
+        out.append(gap + rho * float(np.sum((x.data - y.data) ** 2)) / 8.0)
+    return np.array(out)
+
+
+def random_orthogonal(rng, n):
+    return np.linalg.qr(rng.standard_normal((n, n)))[0]
+
+
+class TestWeakConvexity:
+    """The stated modulus rho makes f + (rho/2)||.||^2 convex, and no smaller one does."""
+
+    TERMS = {
+        "separable": SeparableMCPTerm(weight=1.5, tau=2.5),
+        "spectral": SpectralMCPTerm(weight=1.5, tau=2.5),
+    }
+
+    @staticmethod
+    def segments(kind, rng, tau, count=200):
+        """Seeded pairs: `any` draws entries or singular values across the knee
+        and both signs; `ramp` keeps them in (0, tau), where the penalty is
+        concave, sharing the signs or the singular vectors of the pair."""
+        pairs = []
+        for _ in range(count):
+            if kind == "spectral":
+                u, v = random_orthogonal(rng, 4)[:, :3], random_orthogonal(rng, 3)
+                x, y = ((u * rng.uniform(0.0, tau, 3)) @ v.T for _ in range(2))
+            else:
+                x, y = rng.uniform(0.0, tau, 5), rng.uniform(0.0, tau, 5)
+            pairs.append((RealVector(x), RealVector(y)))
+        return pairs
+
+    @staticmethod
+    def generic(kind, rng, tau, count=200):
+        shape = (4, 3) if kind == "spectral" else (5,)
+        return [(RealVector(rng.standard_normal(shape) * 2 * tau), RealVector(rng.standard_normal(shape) * 2 * tau))
+                for _ in range(count)]
+
+    @pytest.mark.parametrize("kind", ["separable", "spectral"])
+    def test_stated_modulus_holds_and_is_tight(self, kind):
+        term = self.TERMS[kind]
+        rho = term.weak_convexity
+        assert rho == term.weight / term.tau
+        rng = np.random.default_rng(21)
+        generic = self.generic(kind, rng, term.tau)
+        ramp = self.segments(kind, rng, term.tau)
+        assert midpoint_slacks(term, rho, generic + ramp).min() >= -1e-12
+        assert (midpoint_slacks(term, 0.9 * rho, ramp) < -1e-6).all()
+
+    def test_convex_terms_state_zero_and_others_nothing(self):
+        assert ScaledL1Term(weight=0.7).weak_convexity == 0.0
+        assert ZeroProxTerm().weak_convexity == 0.0
+        assert SpectralMCPTerm(weight=1.0, tau=np.inf).weak_convexity == 0.0
+        assert SeparableMCPTerm(weight=0.0, tau=1.0).weak_convexity == 0.0
+        assert ProxTerm().weak_convexity is None
+        pairs = self.generic("separable", np.random.default_rng(22), 1.0)
+        assert midpoint_slacks(ScaledL1Term(weight=0.7), 0.0, pairs).min() >= -1e-12
 
 
 def candidate_comparison_prox(weight, tau, gamma, v):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import trisplit.bench as bench
 import trisplit.splitting as splitting
 from trisplit import (
     AdaptiveController,
@@ -24,6 +25,7 @@ from trisplit import (
     RealVector,
     RelaxationParams,
     ScaledL1Term,
+    SpectralMCPTerm,
     SplitState,
     StoppingRule,
     ZeroProxTerm,
@@ -31,10 +33,12 @@ from trisplit import (
     composite_residual,
     descent_constants,
     evaluate_objective,
+    generate_instance,
     identity_check,
     lagrangian_value,
     make_state,
     plan,
+    run_experiment,
     run_ryu,
     ryu_envelope_moreau,
     run_dys,
@@ -44,7 +48,24 @@ from trisplit import (
     write_trace_json,
 )
 from trisplit.checks import convex_l1_problem, make_quadratic_problem
-from trisplit.splitting import TRACE_COLUMNS
+from trisplit.splitting import CERTIFICATE_WINDOW, TRACE_COLUMNS
+
+
+class NoModulus(ProxTerm):
+    """Delegates to an f3 without stating its weak-convexity modulus, as a
+    timing wrapper does, so the solvers take the exact residual at every step."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def value(self, x):
+        return self.inner.value(x)
+
+    def prox(self, gamma, z):
+        return self.inner.prox(gamma, z)
+
+    def prox_with_value(self, gamma, z):
+        return self.inner.prox_with_value(gamma, z)
 
 
 class TestParams:
@@ -478,13 +499,26 @@ class TestRunRyu:
         assert len(exc_info.value.trace) == 3
 
     def test_nonfinite_residual_is_divergence(self, monkeypatch):
+        # an f3 that states no modulus: every residual is the exact one
         prob, _ = convex_l1_problem(d=3, seed=1)
+        prob = dataclasses.replace(prob, f3=NoModulus(prob.f3))
         params = RelaxationParams(gamma=0.05, lam=1.0, alpha=0.8)
         residuals = iter([1.0, 0.5, 0.25, math.inf])
         monkeypatch.setattr(splitting, "composite_residual", lambda p, g, x: next(residuals))
         with pytest.raises(DivergenceError) as exc_info:
             run_ryu(prob, params, stop=StoppingRule(tol=1e-12, max_iter=50))
         assert [r.k for r in exc_info.value.trace] == [1, 2]
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_nonfinite_certificate_is_divergence(self, monkeypatch, bad):
+        # l1 states rho = 0, so away from the tolerance the certificate is the residual
+        prob, _ = convex_l1_problem(d=3, seed=1)
+        params = RelaxationParams(gamma=0.05, lam=1.0, alpha=0.8)
+        certificates = iter([0.5, 0.25, bad])
+        monkeypatch.setattr(splitting, "_certificate", lambda p, g, rho, x, u: next(certificates))
+        with pytest.raises(DivergenceError) as exc_info:
+            run_ryu(prob, params, stop=StoppingRule(tol=1e-12, max_iter=50))
+        assert [(r.k, r.residual) for r in exc_info.value.trace] == [(1, 0.5), (2, 0.25)]
 
     def test_huge_finite_start_is_numerical_error(self, tiny_instance):
         # a finite start whose arithmetic overflows is lost numerics, not bad input
@@ -506,6 +540,116 @@ class TestRunRyu:
         assert trace[-1].objective == pytest.approx(
             evaluate_objective(prob, state.x3), rel=1e-12
         )
+
+
+PROTOCOL_SEED = dict(m=100, n=100, r=10, s=1000)
+
+
+def certificate_spy(monkeypatch):
+    """Record (certificate, exact residual) at every certificate a run takes."""
+    seen = []
+    real = splitting._certificate
+
+    def spy(p, g, rho, x, u):
+        cert = real(p, g, rho, x, u)
+        seen.append((cert, composite_residual(p, g, x)))
+        return cert
+
+    monkeypatch.setattr(splitting, "_certificate", spy)
+    return seen
+
+
+def forbid_certificate(monkeypatch):
+    def fail(*args):
+        raise AssertionError("a certificate was taken")
+
+    monkeypatch.setattr(splitting, "_certificate", fail)
+
+
+def field_bits(obj, skip):
+    """The dataclass's fields but `skip`, floats as exact hex."""
+    values = (getattr(obj, f.name) for f in dataclasses.fields(obj) if f.name not in skip)
+    return [v.hex() if isinstance(v, float) else v for v in values]
+
+
+def certified_rows(exact, windowed, tol):
+    """Check that two reports of one run agree bit for bit in every field but
+    time_ms and trace, and their traces in every field but residual and
+    time_ms. A residual inside the window or on the last row must be the
+    exact one; elsewhere it must be at least the exact one. Returns the number
+    of rows whose residual differs."""
+    assert field_bits(windowed, ("time_ms", "trace")) == field_bits(exact, ("time_ms", "trace"))
+    assert len(windowed.trace) == len(exact.trace)
+    for w, e in zip(windowed.trace, exact.trace):
+        assert field_bits(w, ("residual", "time_ms")) == field_bits(e, ("residual", "time_ms"))
+        if w.residual < CERTIFICATE_WINDOW * tol or w is windowed.trace[-1]:
+            assert w.residual == e.residual
+        else:
+            assert w.residual >= e.residual
+    return sum(w.residual != e.residual for w, e in zip(windowed.trace, exact.trace))
+
+
+class TestResidualCertificate:
+    @pytest.mark.parametrize("algo", ["ryu", "ryu+", "dys"])
+    def test_bounds_the_residual_on_the_protocol_instance(self, monkeypatch, algo):
+        # tol = 1e-12 keeps every step but the last outside the window
+        seen = certificate_spy(monkeypatch)
+        inst = generate_instance(**PROTOCOL_SEED, seed=0)
+        rep = run_experiment(inst, algo, stop=StoppingRule(tol=1e-12, max_iter=200))
+        assert len(seen) == 199
+        assert all(cert >= exact for cert, exact in seen)
+        assert [r.residual for r in rep.trace[:-1]] == [cert for cert, _ in seen]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bounds_the_residual_on_mcp_quadratics(self, monkeypatch, seed):
+        seen = certificate_spy(monkeypatch)
+        prob = make_quadratic_problem(np.random.default_rng(seed), d=6, f3="mcp")
+        assert prob.f3.weak_convexity == 0.15
+        stop = StoppingRule(tol=1e-9, max_iter=300)
+        pl = plan(prob.f1.lipschitz, prob.f2.lipschitz, lam=1.0, alpha=0.8)
+        run_ryu(prob, RelaxationParams(gamma=pl.gamma_ryu, lam=1.0, alpha=0.8), stop=stop)
+        run_dys(prob, DysParams(gamma=0.9 / prob.f1.lipschitz), stop=stop)
+        assert len(seen) >= 100
+        # tight here: where every coordinate of x lies on an affine piece of
+        # the firm threshold, the prox's Lipschitz bound holds with equality,
+        # so rounding may put the certificate a few ulps below the residual
+        assert all(cert >= exact * (1.0 - 1e-12) - 1e-15 for cert, exact in seen)
+
+    @pytest.mark.parametrize("algo", ["ryu", "ryu+", "dys"])
+    def test_a_term_without_modulus_takes_the_exact_residual_every_step(self, monkeypatch, tiny_instance, algo):
+        stop = StoppingRule(tol=1e-4, max_iter=3000)
+        windowed = run_experiment(tiny_instance, algo, stop=stop)
+        real_build, real_residual, residuals = bench.build_problem, splitting.composite_residual, []
+
+        def build_without_modulus(inst):
+            p = real_build(inst)
+            return dataclasses.replace(p, f3=NoModulus(p.f3))
+
+        def exact_residual(p, g, x):
+            residuals.append(real_residual(p, g, x))
+            return residuals[-1]
+
+        monkeypatch.setattr(bench, "build_problem", build_without_modulus)
+        monkeypatch.setattr(splitting, "composite_residual", exact_residual)
+        forbid_certificate(monkeypatch)
+        exact = run_experiment(tiny_instance, algo, stop=stop)
+        assert [r.residual for r in exact.trace] == residuals[1:]  # the first is the start's
+        assert certified_rows(exact, windowed, stop.tol) > 0
+
+    def test_no_certificate_where_prox_gamma_times_rho_reaches_one(self, monkeypatch, tiny_instance):
+        inst = dataclasses.replace(tiny_instance, tau=1e-300)
+        assert StoppingRule().prox_gamma * build_problem(inst).f3.weak_convexity >= 1.0
+        forbid_certificate(monkeypatch)
+        for algo in ("ryu", "ryu+", "dys"):
+            assert len(run_experiment(inst, algo, stop=StoppingRule(tol=1e-12, max_iter=20)).trace) == 20
+
+    def test_protocol_ryu_plus_report_is_the_same_without_the_modulus(self, monkeypatch):
+        inst = generate_instance(**PROTOCOL_SEED, seed=1)
+        windowed = run_experiment(inst, "ryu+")
+        monkeypatch.setattr(SpectralMCPTerm, "weak_convexity", None)
+        exact = run_experiment(inst, "ryu+")
+        assert windowed.converged and windowed.iterations == 360
+        assert certified_rows(exact, windowed, StoppingRule().tol) > 200
 
 
 class TestTraceExport:
