@@ -53,12 +53,12 @@ def _check_gamma(p: CompositeProblem, params: DysParams) -> None:
 
 
 def _make_state(p: CompositeProblem, params: DysParams, z: RealVector, k: int) -> tuple[DysState, np.ndarray]:
-    """The state at z, and the subgradient (anchor - x_g)/gamma of f3 at x_g that its prox yields."""
+    """The state at z, and the anchor its x_g = prox_{gamma f3}(anchor) was taken at."""
     gamma = params.gamma
     x_f = p.f2.prox(gamma, z)
     anchor = 2.0 * x_f.data - z.data - gamma * p.f1.grad(x_f).data
     x_g, f3v = p.f3.prox_with_value(gamma, z.with_data(anchor))
-    return DysState(z=z, x_f=x_f, x_g=x_g, f3_at_xg=f3v, k=k), (anchor - x_g.data) / gamma
+    return DysState(z=z, x_f=x_f, x_g=x_g, f3_at_xg=f3v, k=k), anchor
 
 
 def run_dys(
@@ -69,10 +69,8 @@ def run_dys(
 ) -> tuple[DysState, list[IterRecord]]:
     """Iterate until the composite residual at x_g drops below tol or max_iter.
 
-    The stop test reads the exact residual; a trace row away from the
-    tolerance may instead hold its certified upper bound, from the
-    subgradient that the x_g prox yields (see `splitting._iterate`). Shares
-    the trace schema of the relaxed runner; the single governing
+    The residual is taken by the rule that `splitting._iterate` states.
+    Shares the trace schema of the relaxed runner; the single governing
     variable's displacement is reported as dz1, the first prox point's as
     dx1, and the prox-point gap ||x_g - x_f|| as gap31. The columns without a
     counterpart (envelope, dz2, dx2, gap32) hold None/0.
@@ -84,7 +82,7 @@ def run_dys(
     def step(s: DysState):
         k = s.k + 1
         z = _relax(params.lam, s.z, s.x_g, s.x_f, f"z became non-finite at iteration {k}")
-        nxt, u = _make_state(p, params, z, k=k)
+        nxt, anchor = _make_state(p, params, z, k=k)
         fields = dict(
             gamma=params.gamma,
             envelope=None,
@@ -96,6 +94,6 @@ def run_dys(
             gap31=_dist(nxt.x_g, nxt.x_f),
             gap32=0.0,
         )
-        return nxt, fields, u
+        return nxt, fields, anchor
 
     return _iterate(p, stop, _make_state(p, params, z, k=0)[0], "x_g", step)

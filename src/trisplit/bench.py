@@ -191,9 +191,8 @@ def run_experiment(
     controller at 10x the baseline stepsize and shrinks toward gamma_ryu,
     "dys" uses the baseline stepsize. `gamma` overrides the operative
     stepsize (the starting one for "ryu+"). Divergence is recorded in the
-    report rather than raised; a diverged run's `residual` is its last
-    row's, which may be a certified upper bound rather than the exact
-    residual. A converged or capped run's is exact.
+    report rather than raised. The report's `residual` is its last row's,
+    which `splitting._iterate`'s rule makes exact unless the run diverged.
 
     This is the in-process library call: at large n its bits depend on the
     caller's BLAS threads. `run_benchmark`, and so `trisplit solve`, pins them.
@@ -233,7 +232,7 @@ def run_experiment(
         objective=objective,
         residual=residual,
         converged=converged,
-        capped=(not converged) and (not diverged) and iterations >= stop.max_iter,
+        capped=not (converged or diverged),
         diverged=diverged,
         envelope_monotone=_envelope_monotone(trace),
         trace=tuple(trace),

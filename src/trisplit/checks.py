@@ -321,10 +321,7 @@ def check_planner():
     for _ in range(100):
         lam = rng.uniform(0.1, 1.9)
         abar = alpha_lower_bound(lam)
-        lo_a = abar + 1e-3
-        if lo_a >= 1 - 1e-3:
-            continue
-        alpha = rng.uniform(lo_a, 1 - 1e-3)
+        alpha = rng.uniform(abar + 1e-3, 1 - 1e-3)
         sp2 = plan(rng.uniform(0.5, 10), rng.uniform(0.5, 10), lam, alpha)
         assert plan_admissible(sp2), f"plan not admissible: {sp2}"
 
@@ -391,7 +388,7 @@ def check_dys_transcription():
     assert np.allclose(state.x_g.data, x_g_plus, atol=1e-12)
     assert math.isclose(trace[0].dx1, np.linalg.norm(x_f_plus - x_f), rel_tol=1e-12)
     state, _ = run_dys(p, params, RealVector(z), StoppingRule(tol=1e-9, max_iter=5000))
-    assert composite_residual(p, 5e-3, state.x_g) < 1e-9
+    assert composite_residual(p, StoppingRule().prox_gamma, state.x_g) < 1e-9
 
 
 ALL_CHECKS = (

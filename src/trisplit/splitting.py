@@ -114,10 +114,8 @@ class SplitState:
 class IterRecord:
     """Per-iteration diagnostics; norms of the displacements and gaps.
 
-    `residual` is the exact composite residual within the stop test's window
-    (below CERTIFICATE_WINDOW * tol) and on the last row the budget allows;
-    elsewhere, where f3 states a weak-convexity modulus, it is the certified
-    upper bound on it that `_iterate` takes instead (see there).
+    `residual` is the composite residual or a certified upper bound on it, by
+    the rule that `_iterate` states.
     """
 
     k: int
@@ -151,10 +149,8 @@ class DescentConstants:
 class StoppingRule:
     """Composite-residual stopping: stop when residual < tol or k = max_iter.
 
-    The test reads only exact residuals. Where f3 states its weak-convexity
-    modulus, a certified upper bound stands in for the residual on steps
-    where that bound is at least CERTIFICATE_WINDOW * tol, and such a step
-    does not stop the run (see `_iterate`).
+    Where the residual is exact and where a certified bound stands in for it
+    is the rule that `_iterate` states.
     """
 
     prox_gamma: float = 5e-3
@@ -346,9 +342,7 @@ def composite_residual(p: CompositeProblem, prox_gamma: float, x: RealVector) ->
     """||x - prox_{g f3}(x - g (grad f1(x) + grad f2(x)))|| with g = prox_gamma.
 
     Zero exactly at critical points of f1 + f2 + f3; the stopping criterion.
-    The solvers take it at the start, inside the stop test's window and on
-    the last step the budget allows, and elsewhere record a certified upper
-    bound that needs no prox when f3 states its weak-convexity modulus.
+    Where the solvers take it is the rule that `_iterate` states.
     """
     _validate_gamma(prox_gamma, "prox_gamma")
     p.check_shape(x)
@@ -431,8 +425,8 @@ def _iterate(p: CompositeProblem, stop: StoppingRule, state, point: str, step):
 
     `point` names the state attribute the composite residual is taken at.
     `step(state)` returns the next state, whose `k` is one higher, the
-    remaining IterRecord fields, and the subgradient of f3 at the point that
-    the step's f3 prox yields, (anchor - point)/gamma as a flat array; the
+    remaining IterRecord fields, and the flat array its f3 prox was taken at,
+    so that point = prox_{gamma f3}(anchor) with gamma the `gamma` field; the
     loop adds k, residual and time_ms. A step that changes its own
     parameters, such as ryu+'s stepsize, does so inside `step`, from the
     state it is given. The loop runs on one condition: the last residual, the
@@ -440,15 +434,17 @@ def _iterate(p: CompositeProblem, stop: StoppingRule, state, point: str, step):
     run. It returns the final state and the records, which are empty for a
     start that already meets the tolerance.
 
-    The residual is the exact `composite_residual` at the start, on the last
-    step the budget allows, and wherever f3 states no weak-convexity modulus
-    rho or prox_gamma * rho >= 1. Elsewhere the step's subgradient gives a
-    certificate, an upper bound on it (`_certificate`), and the exact
-    residual is taken only where the certificate is below
-    CERTIFICATE_WINDOW * tol. So a run stops only on an exact residual below
-    tol, at the same iteration as on the exact residual alone unless the
-    certificate there exceeds it CERTIFICATE_WINDOW-fold, and a converged
-    or capped run's last record holds the exact residual.
+    The residual rule, stated here only. The residual is the exact
+    `composite_residual` at the start, on the last step the budget allows,
+    and wherever f3 states no weak-convexity modulus rho or
+    prox_gamma * rho >= 1. Elsewhere the loop takes the certificate, an upper
+    bound on it from the subgradient u = (anchor - point)/gamma of f3 at the
+    point (`_certificate`), and takes the exact residual as well only where
+    the certificate is below CERTIFICATE_WINDOW * tol. So a run stops only on
+    an exact residual below tol, at the same iteration as on the exact
+    residual alone unless the certificate there exceeds it
+    CERTIFICATE_WINDOW-fold, and a converged or capped run's last record
+    holds the exact residual.
 
     A non-finite objective, residual or certificate is divergence. On
     divergence the records so far are attached to the DivergenceError as
@@ -461,10 +457,11 @@ def _iterate(p: CompositeProblem, stop: StoppingRule, state, point: str, step):
     t0 = time.perf_counter()
     try:
         while not residual < stop.tol and len(records) < stop.max_iter:
-            nxt, fields, u = step(state)
+            nxt, fields, anchor = step(state)
             x = getattr(nxt, point)
             exact = not certify or len(records) + 1 == stop.max_iter
             if not exact:  # a non-finite certificate fails this test and is kept, so it diverges below
+                u = (anchor - x.data) / fields["gamma"]
                 residual = _certificate(p, stop.prox_gamma, rho, x, u)
                 exact = residual < CERTIFICATE_WINDOW * stop.tol
             if exact:
@@ -495,15 +492,14 @@ def run_ryu(
 ) -> tuple[SplitState, list[IterRecord]]:
     """Iterate until the composite residual drops below tol or max_iter is hit.
 
-    The stop test reads the exact residual; a trace row away from the
-    tolerance may instead hold its certified upper bound (see `_iterate`),
-    which needs no second prox. Starts from z1 = z2 = 0 unless given. A step
-    records the envelope exactly when alpha < 1, the gamma it ran at is
-    below 1/(L1+L2) (strictly, so gamma f3 stays prox-bounded) and the
-    dimension is at most 1e4; otherwise the envelope field is None. `controller`, when given, may lower
-    gamma at the start of every step but the first, from the previous step's
-    shadow-point displacements (see the stepsize planner); the step's shadow
-    points are recomputed whenever it does.
+    The residual is taken by the rule that `_iterate` states. Starts from
+    z1 = z2 = 0 unless given. A step records the envelope exactly when
+    alpha < 1, the gamma it ran at is below 1/(L1+L2) (strictly, so gamma f3
+    stays prox-bounded) and the dimension is at most 1e4; otherwise the
+    envelope field is None. `controller`, when given, may lower gamma at the
+    start of every step but the first, from the previous step's shadow-point
+    displacements (see the stepsize planner); the step's shadow points are
+    recomputed whenever it does.
 
     On divergence raises DivergenceError with the trace so far attached as
     `.trace`.
@@ -541,7 +537,7 @@ def run_ryu(
             gap32=_dist(nxt.x3, nxt.x2),
         )
         anchor = nxt.x1.data - nxt.z1.data + nxt.x2.data - nxt.z2.data  # as make_state formed it
-        return nxt, last, (anchor - nxt.x3.data) / params.gamma
+        return nxt, last, anchor
 
     return _iterate(p, stop, state, "x3", step)
 

@@ -31,8 +31,6 @@ __all__ = [
     "eps1_interval",
     "eps2_lower",
     "gamma_bounds",
-    "eps2_star",
-    "optimize_epsilons",
     "plan",
 ]
 
@@ -94,25 +92,12 @@ def gamma_bounds(
     return _caps(L1, L2, lam, alpha, eps1, eps2)
 
 
-def _eps2_star(L1, L2, lam, alpha, eps1) -> float:
-    A = lam * alpha
-    B = (
-        2.0 * lam * (1.0 - alpha) * L1
-        - alpha * alpha * L2
-        - 2.0 * alpha * L2 * (2.0 - lam - (1.0 - alpha) * eps1)
-    )
-    C = -2.0 * alpha * (1.0 - alpha) * L1 * L2
-    q = -0.5 * (B + math.copysign(math.sqrt(B * B - 4.0 * A * C), B if B != 0 else 1.0))
-    root = max(q / A, C / q)  # the roots q/A and C/q multiply to C/A < 0
-    if not root > alpha * L2 / lam:  # outside I2 only where the coefficients under- or overflow
-        raise PlanInfeasibleError(f"no eps2 root inside I2 for lam={lam}, alpha={alpha}")
-    return root
+def _balanced_caps(L1, L2, lam, alpha, eps1) -> tuple[float, tuple[float, float, float, float]]:
+    """eps2* at eps1 in I1 and the four caps there: one step of the epsilon search.
 
-
-def eps2_star(L1: float, L2: float, lam: float, alpha: float, eps1: float) -> float:
-    """The root of gbar1(eps2) = gbar2(eps1, eps2) inside I2, for eps1 in I1.
-
-    Clearing denominators gives the quadratic
+    eps2* is the root of gbar1(eps2) = gbar2(eps1, eps2) inside I2; it
+    maximizes min{gbar1, gbar2} at this eps1, since gbar1 increases and gbar2
+    decreases in eps2. Clearing denominators gives the quadratic
 
         lam*alpha*e^2
         + (2 lam (1-alpha) L1 - alpha^2 L2 - 2 alpha L2 (2 - lam - (1-alpha) eps1)) e
@@ -122,16 +107,17 @@ def eps2_star(L1: float, L2: float, lam: float, alpha: float, eps1: float) -> fl
     there is exactly one positive root, and (since gbar1 vanishes at the left
     end of I2 while gbar2 is positive on I1) it lies in I2.
     """
-    _validate_moduli(L1, L2)
-    lo, hi = eps1_interval(lam, alpha)
-    if not lo < eps1 < hi:
-        raise InputError(f"eps1 must lie in I1 = ({lo}, {hi}) for lam={lam}, alpha={alpha}, got {eps1}")
-    return _eps2_star(L1, L2, lam, alpha, eps1)
-
-
-def _balanced_caps(L1, L2, lam, alpha, eps1) -> tuple[float, tuple[float, float, float, float]]:
-    """eps2_star at eps1 and the four caps there: one step of the epsilon search."""
-    eps2 = _eps2_star(L1, L2, lam, alpha, eps1)
+    A = lam * alpha
+    B = (
+        2.0 * lam * (1.0 - alpha) * L1
+        - alpha * alpha * L2
+        - 2.0 * alpha * L2 * (2.0 - lam - (1.0 - alpha) * eps1)
+    )
+    C = -2.0 * alpha * (1.0 - alpha) * L1 * L2
+    q = -0.5 * (B + math.copysign(math.sqrt(B * B - 4.0 * A * C), B if B != 0 else 1.0))
+    eps2 = max(q / A, C / q)  # the roots q/A and C/q multiply to C/A < 0
+    if not eps2 > alpha * L2 / lam:  # outside I2 only where the coefficients under- or overflow
+        raise PlanInfeasibleError(f"no eps2 root inside I2 for lam={lam}, alpha={alpha}")
     return eps2, _caps(L1, L2, lam, alpha, eps1, eps2)
 
 
@@ -159,7 +145,16 @@ def _bisect(f, a: float, b: float, fa: float, fb: float) -> float:
 
 
 def _optimize(L1, L2, lam, alpha, lo, hi) -> tuple[float, float, tuple[float, float, float, float]]:
-    """`optimize_epsilons` on checked input and I1 = (lo, hi): eps1, eps2 and the caps there."""
+    """The (eps1, eps2) maximizing min{gbar1, gbar2, gbar3}, and the four caps
+    there, on checked input and I1 = (lo, hi).
+
+    For fixed eps1, `_balanced_caps`'s eps2* balances gbar1 = gbar2. Over
+    eps1, h(eps1) = gbar1(eps2*) decreases while gbar3 increases, so their
+    crossing, found by bisection at 1e-12 relative tolerance, is the max-min
+    point. Without a sign change the I1 endpoints (inset by 1e-6 relative)
+    are both evaluated and the better one wins; where the inset ends cross,
+    the I1 midpoint is taken.
+    """
     if not lo < hi:
         raise PlanInfeasibleError(f"empty eps1 interval for lam={lam}, alpha={alpha}")
     a = lo * (1.0 + 1e-6)
@@ -177,20 +172,6 @@ def _optimize(L1, L2, lam, alpha, lo, hi) -> tuple[float, float, tuple[float, fl
     else:
         eps1 = max((a, b), key=lambda e1: min(_balanced_caps(L1, L2, lam, alpha, e1)[1][1:]))
     return (eps1, *_balanced_caps(L1, L2, lam, alpha, eps1))
-
-
-def optimize_epsilons(L1: float, L2: float, lam: float, alpha: float) -> tuple[float, float]:
-    """Pick (eps1, eps2) maximizing min{gbar1, gbar2, gbar3}.
-
-    For fixed eps1, eps2_star balances gbar1 = gbar2 (optimal since gbar1
-    increases and gbar2 decreases in eps2). Over eps1, h(eps1) =
-    gbar1(eps2_star) decreases while gbar3 increases, so their crossing —
-    found by bisection at 1e-12 relative tolerance — is the max-min point.
-    Without a sign change the I1 endpoints (inset by 1e-6 relative) are both
-    evaluated and the better one wins.
-    """
-    _validate_moduli(L1, L2)
-    return _optimize(L1, L2, lam, alpha, *eps1_interval(lam, alpha))[:2]
 
 
 @dataclass(frozen=True)

@@ -38,8 +38,8 @@ from trisplit.bench import (
     trace_filename,
     write_summary_csv,
 )
+from trisplit.checks import SMALL_BENCH
 
-SMALL = dict(m=12, n=9, r=3, s=40, seed=7)
 SMALL_STOP = StoppingRule(tol=1e-3, max_iter=4000)
 
 
@@ -62,24 +62,24 @@ def dys_reports():
 
 class TestInstanceGeneration:
     def test_deterministic_per_seed(self):
-        a = generate_instance(**SMALL)
-        b = generate_instance(**SMALL)
+        a = generate_instance(**SMALL_BENCH)
+        b = generate_instance(**SMALL_BENCH)
         npt.assert_array_equal(a.target.data, b.target.data)
         npt.assert_array_equal(a.mask, b.mask)
 
     def test_seeds_differ(self):
-        a = generate_instance(**SMALL)
-        b = generate_instance(**{**SMALL, "seed": 8})
+        a = generate_instance(**SMALL_BENCH)
+        b = generate_instance(**{**SMALL_BENCH, "seed": 8})
         assert not np.array_equal(a.target.data, b.target.data)
 
     def test_mask_has_exactly_s_entries(self):
-        inst = generate_instance(**SMALL)
-        assert int(inst.mask.sum()) == SMALL["s"]
+        inst = generate_instance(**SMALL_BENCH)
+        assert int(inst.mask.sum()) == SMALL_BENCH["s"]
 
     def test_target_has_requested_rank(self):
-        inst = generate_instance(**SMALL)
+        inst = generate_instance(**SMALL_BENCH)
         sv = np.linalg.svd(inst.target.mat, compute_uv=False)
-        assert (sv > 1e-9).sum() == SMALL["r"]
+        assert (sv > 1e-9).sum() == SMALL_BENCH["r"]
 
     def test_validation(self):
         with pytest.raises(InputError):
@@ -97,7 +97,7 @@ class TestInstanceGeneration:
         assert generate_instance(4, 4, 2, 10, seed=2**70).seed == 2**70
 
     def test_build_problem_wires_terms(self):
-        inst = generate_instance(**SMALL)
+        inst = generate_instance(**SMALL_BENCH)
         p = build_problem(inst)
         assert isinstance(p.f1, NonnegDistanceTerm) and p.f1.lipschitz == inst.lam1
         assert isinstance(p.f2, MaskedQuadraticTerm) and p.f2.lipschitz == 1.0

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trisplit import cli
+from trisplit import checks, cli
 from trisplit.bench import ALGOS
 from trisplit.core import DivergenceError, InputError
 from trisplit.splitting import TRACE_COLUMNS, EnvelopeUndefinedError
@@ -209,9 +209,13 @@ class TestCheckCommand:
             )
         ]
 
-    def test_check_failure_exits_1(self, monkeypatch):
-        monkeypatch.setattr(cli, "run_all_checks", lambda: False)
+    def test_check_failure_exits_1(self, monkeypatch, capsys):
+        def broken():
+            raise AssertionError("margin -1")
+
+        monkeypatch.setattr(checks, "ALL_CHECKS", (("broken", broken), ("fine", lambda: None)))
         assert cli.main(["check"]) == 1
+        assert capsys.readouterr().out.splitlines() == ["FAIL broken: margin -1", "PASS fine"]
 
 
 class TestExitCodes:

@@ -17,7 +17,7 @@ from trisplit import (
     stepsize,
 )
 from trisplit.checks import epsilon_grid
-from trisplit.stepsize import _bisect, eps1_interval, eps2_lower, eps2_star, optimize_epsilons
+from trisplit.stepsize import _balanced_caps, _bisect, eps1_interval, eps2_lower
 
 lams = st.floats(0.05, 1.95, allow_nan=False)
 lips = st.floats(0.5, 10.0, allow_nan=False)
@@ -76,20 +76,12 @@ class TestEpsilonGeometry:
         assume(alpha < 1.0 - 1e-9)
         lo, hi = eps1_interval(lam, alpha)
         eps1 = lo + t * (hi - lo)
-        e2 = eps2_star(L1, L2, lam, alpha, eps1)
+        e2, _ = _balanced_caps(L1, L2, lam, alpha, eps1)
         assert e2 > eps2_lower(L2, lam, alpha)
         _, g1, g2, _ = gamma_bounds(L1, L2, lam, alpha, eps1, e2)
         assert g1 == pytest.approx(g2, rel=1e-8, abs=1e-12)
 
-    @pytest.mark.parametrize("eps1", [math.nan, math.inf, 0.0, 1.0, 1e3])
-    def test_eps2_star_rejects_eps1_outside_i1(self, eps1):
-        # I1 = (alpha/(2 alpha - lam), (2 - lam)/(1 - alpha)) = (1.0102..., 100) at lam = 1, alpha = 0.99
-        with pytest.raises(InputError, match="eps1 must lie in I1"):
-            eps2_star(10.0, 1.0, 1.0, 0.99, eps1)
-
-    def test_eps2_star_and_eps2_lower_reject_lam_zero(self):
-        with pytest.raises(InputError, match="lam must lie in"):
-            eps2_star(10.0, 1.0, 0.0, 0.99, 1.0)
+    def test_eps2_lower_rejects_lam_zero(self):
         with pytest.raises(InputError, match="lam must lie in"):
             eps2_lower(1.0, 0.0, 0.5)
 
@@ -124,6 +116,11 @@ class TestPlan:
         # the planner's output bits, pinned so that a change of its arithmetic shows
         p = plan(*args)
         assert [p.eps1.hex(), p.eps2.hex(), p.gamma_ryu.hex(), p.gamma_upper.hex()] == [eps1, eps2, gamma_ryu, gamma_upper]
+
+    def test_bisection_returns_an_endpoint_root(self):
+        # an end where the crossing is exactly zero is the root: no halving
+        assert _bisect(lambda x: 1.0 - x, 0.0, 1.0, 1.0, 0.0) == 1.0
+        assert _bisect(lambda x: x - 0.25, 0.25, 1.0, 0.0, 0.75) == 0.25
 
     def test_bisection_failures_are_numerical_errors(self):
         with pytest.raises(NumericalError, match="NaN"):
@@ -167,10 +164,6 @@ class TestPlan:
         with pytest.raises(InputError, match="L1 and L2"):
             gamma_bounds(L1, L2, 1.0, 0.99, 2.0, 2.0)
         with pytest.raises(InputError, match="L1 and L2"):
-            eps2_star(L1, L2, 1.0, 0.99, 2.0)
-        with pytest.raises(InputError, match="L1 and L2"):
-            optimize_epsilons(L1, L2, 1.0, 0.99)
-        with pytest.raises(InputError, match="L1 and L2"):
             descent_constants(L1, L2, RelaxationParams(0.01, 1.0, 0.9), 2.0, 2.0)
         with pytest.raises(InputError, match="L2 must be positive and finite"):
             eps2_lower(L2 if L1 == 1.0 else L1, 1.0, 0.99)  # the one bad modulus, as L2
@@ -195,7 +188,8 @@ class TestPlan:
         alpha = admissible_alpha(lam, float(rng.uniform(0.2, 0.9)))
         L1 = float(rng.uniform(0.5, 10.0))
         L2 = float(rng.uniform(0.5, 10.0))
-        e1, e2 = optimize_epsilons(L1, L2, lam, alpha)
+        p = plan(L1, L2, lam, alpha)
+        e1, e2 = p.eps1, p.eps2
         ours = min(gamma_bounds(L1, L2, lam, alpha, e1, e2)[1:])
         best = max(cap for _, _, cap in epsilon_grid(L1, L2, lam, alpha, 160))
         assert ours >= 0.99 * best
