@@ -69,6 +69,11 @@ class TestRealVector:
         with pytest.raises(InputError):
             RealVector([1.0, 2.0], (3,))
 
+    @pytest.mark.parametrize("shape", [(), (2, 2, 2), (0,), (4, -1)])
+    def test_rejects_a_shape_other_than_d_or_m_by_n(self, shape):
+        with pytest.raises(InputError, match="shape must be"):
+            RealVector.zeros(shape)
+
     def test_data_is_read_only_and_decoupled(self):
         src = np.ones(3)
         v = RealVector(src, (3,))
@@ -240,6 +245,20 @@ class TestCompositeProblem:
             shape=(2,),
         )
         with pytest.raises(NumericalError):
+            evaluate_objective(p, p.zeros())
+
+    def test_objective_rejects_nan_from_f3(self):
+        class NaNValued(ZeroProxTerm):
+            def value(self, x):
+                return math.nan
+
+        p = CompositeProblem(
+            f1=QuadraticTerm(matrix=np.eye(2), center=np.zeros(2)),
+            f2=QuadraticTerm(matrix=np.eye(2), center=np.zeros(2)),
+            f3=NaNValued(),
+            shape=(2,),
+        )
+        with pytest.raises(NumericalError, match="f3 returned NaN"):
             evaluate_objective(p, p.zeros())
 
 

@@ -190,6 +190,14 @@ class TestMaskedQuadratic:
             with pytest.raises(InputError):
                 MaskedQuadraticTerm(target=target, mask=mask)
 
+    @pytest.mark.parametrize("oracle", ["value", "grad", "prox"])
+    def test_rejects_a_point_of_another_shape(self, oracle):
+        t = self.make()
+        x = RealVector(np.zeros((3, 2)), (3, 2))
+        args = (0.5, x) if oracle == "prox" else (x,)
+        with pytest.raises(InputError, match="does not match target"):
+            getattr(t, oracle)(*args)
+
 
 class TestSpectralMCP:
     def test_prox_thresholds_singular_values(self, rng):
@@ -220,6 +228,14 @@ class TestSpectralMCP:
         z = RealVector(np.zeros((3, 3)), (3, 3))
         out = t.prox(0.5, z)
         npt.assert_array_equal(out.mat, np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("oracle", ["value", "prox"])
+    def test_rejects_a_vector_shaped_point(self, oracle):
+        t = SpectralMCPTerm(weight=1.0, tau=2.0)
+        x = RealVector(np.ones(4), (4,))
+        args = (0.5, x) if oracle == "prox" else (x,)
+        with pytest.raises(InputError, match="matrix-shaped"):
+            getattr(t, oracle)(*args)
 
 
 class TestParameterValidation:
@@ -387,6 +403,8 @@ class TestQuadraticTerm:
         npt.assert_allclose(resid, 0.0, atol=1e-10)
 
     def test_validation(self):
+        with pytest.raises(InputError, match="square"):
+            QuadraticTerm(matrix=np.ones((2, 3)), center=np.zeros(2))
         with pytest.raises(InputError):
             QuadraticTerm(matrix=np.array([[1.0, 2.0], [0.0, 1.0]]), center=np.zeros(2))
         with pytest.raises(InputError):
