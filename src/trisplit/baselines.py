@@ -3,12 +3,12 @@
 One iteration from the single governing variable z:
 
     x_f = prox_{gamma f}(z)
-    x_g in prox_{gamma g}(2 x_f - z - gamma grad h(x_f))
-    z+  = z + lam (x_g - x_f)
+    x3 in prox_{gamma g}(2 x_f - z - gamma grad h(x_f))
+    z+  = z + lam (x3 - x_f)
 
 with f = f2, g = f3 and h = f1: the masked quadratic in the f slot, the
 nonsmooth spectral term in the g slot, and the stiffer smooth term in the
-gradient slot.
+gradient slot. So x3 is f3's prox point, the name `splitting._iterate` reads.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CompositeProblem, InputError, RealVector, _validate_gamma, _validate_lam
-from .splitting import IterRecord, StoppingRule, _dist, _iterate, _objective, _relax
+from .splitting import IterRecord, StoppingRule, _dist, _iterate, _relax
 
 __all__ = ["DysParams", "DysState", "run_dys"]
 
@@ -39,8 +39,8 @@ class DysParams:
 class DysState:
     z: RealVector
     x_f: RealVector
-    x_g: RealVector
-    f3_at_xg: float
+    x3: RealVector
+    f3_at_x3: float
     k: int = 0
 
 
@@ -53,12 +53,12 @@ def _check_gamma(p: CompositeProblem, params: DysParams) -> None:
 
 
 def _make_state(p: CompositeProblem, params: DysParams, z: RealVector, k: int) -> tuple[DysState, np.ndarray]:
-    """The state at z, and the anchor its x_g = prox_{gamma f3}(anchor) was taken at."""
+    """The state at z, and the anchor its x3 = prox_{gamma f3}(anchor) was taken at."""
     gamma = params.gamma
     x_f = p.f2.prox(gamma, z)
     anchor = 2.0 * x_f.data - z.data - gamma * p.f1.grad(x_f).data
-    x_g, f3v = p.f3.prox_with_value(gamma, z.with_data(anchor))
-    return DysState(z=z, x_f=x_f, x_g=x_g, f3_at_xg=f3v, k=k), anchor
+    x3, f3v = p.f3.prox_with_value(gamma, z.with_data(anchor))
+    return DysState(z=z, x_f=x_f, x3=x3, f3_at_x3=f3v, k=k), anchor
 
 
 def run_dys(
@@ -67,12 +67,12 @@ def run_dys(
     z0: RealVector | None = None,
     stop: StoppingRule | None = None,
 ) -> tuple[DysState, list[IterRecord]]:
-    """Iterate until the composite residual at x_g drops below tol or max_iter.
+    """Iterate until the composite residual at x3 drops below tol or max_iter.
 
     The residual is taken by the rule that `splitting._iterate` states.
     Shares the trace schema of the relaxed runner; the single governing
     variable's displacement is reported as dz1, the first prox point's as
-    dx1, and the prox-point gap ||x_g - x_f|| as gap31. The columns without a
+    dx1, and the prox-point gap ||x3 - x_f|| as gap31. The columns without a
     counterpart (envelope, dz2, dx2, gap32) hold None/0.
     """
     stop = stop or StoppingRule()
@@ -81,19 +81,18 @@ def run_dys(
 
     def step(s: DysState):
         k = s.k + 1
-        z = _relax(params.lam, s.z, s.x_g, s.x_f, f"z became non-finite at iteration {k}")
+        z = _relax(params.lam, s.z, s.x3, s.x_f, f"z became non-finite at iteration {k}")
         nxt, anchor = _make_state(p, params, z, k=k)
         fields = dict(
             gamma=params.gamma,
             envelope=None,
-            objective=_objective(p, nxt.x_g, nxt.f3_at_xg),
             dz1=_dist(nxt.z, s.z),
             dz2=0.0,
             dx1=_dist(nxt.x_f, s.x_f),
             dx2=0.0,
-            gap31=_dist(nxt.x_g, nxt.x_f),
+            gap31=_dist(nxt.x3, nxt.x_f),
             gap32=0.0,
         )
         return nxt, fields, anchor
 
-    return _iterate(p, stop, _make_state(p, params, z, k=0)[0], "x_g", step)
+    return _iterate(p, stop, _make_state(p, params, z, k=0)[0], step)

@@ -215,9 +215,8 @@ def run_experiment(
         if diverged:  # the first step diverged
             objective = residual = math.inf
         else:  # the start already meets the tolerance
-            x, f3x = (state.x_g, state.f3_at_xg) if algo == "dys" else (state.x3, state.f3_at_x3)
-            objective = _objective(p, x, f3x)
-            residual = composite_residual(p, stop.prox_gamma, x)
+            objective = _objective(p, state.x3, state.f3_at_x3)
+            residual = composite_residual(p, stop.prox_gamma, state.x3)
 
     converged = (not diverged) and residual < stop.tol
     return RunReport(
@@ -348,13 +347,14 @@ def run_benchmark(
 ) -> list[RunReport]:
     """The full benchmark protocol: every (size, seed, algorithm) combination.
 
-    Every task's input is checked here first, so bad input raises before any
-    worker starts. The tasks run in min(jobs, tasks, usable CPUs) worker
-    processes, started by the "spawn" method with BLAS and OpenMP pinned to
-    one thread (`WORKER_ENV`). `jobs` defaults to the usable CPUs. jobs=1
-    runs one pinned worker too, and runs are deterministic per (seed, algo,
-    overrides), so the reports do not depend on `jobs`, not even at sizes
-    where a spectral prox's bits depend on the BLAS thread count.
+    The task lists and every task's input are checked here first, so bad
+    input raises before any worker starts. The tasks run in min(jobs, tasks,
+    usable CPUs) worker processes, started by the "spawn" method with BLAS
+    and OpenMP pinned to one thread (`WORKER_ENV`). `jobs` defaults to the
+    usable CPUs. jobs=1 runs one pinned worker too, and runs are
+    deterministic per (seed, algo, overrides), so the reports do not depend
+    on `jobs`, not even at sizes where a spectral prox's bits depend on the
+    BLAS thread count.
 
     Reports come back in task order. Each task runs under the caller's numpy
     error state, and its warnings are re-emitted here, under the caller's
@@ -369,6 +369,12 @@ def run_benchmark(
     if jobs is None:
         jobs = _usable_cpus()
     _validate_count(jobs, "jobs")
+    if isinstance(algos, str):  # else each of its letters is an algo
+        raise InputError(f"algos must be a list of algorithm names, got {algos!r}")
+    try:
+        sizes = [(n, s) for n, s in sizes]
+    except (TypeError, ValueError):
+        raise InputError(f"sizes must be a list of (n, s) pairs, got {sizes!r}") from None
     tasks = [(n, s, seed, algo) for (n, s), seed, algo in product(sizes, seeds, algos)]
     if not tasks:
         return []

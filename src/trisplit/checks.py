@@ -372,23 +372,23 @@ def check_dys_transcription():
     params = DysParams(gamma=0.4, lam=1.0)
 
     def points(z):
-        """x_f and x_g written out for f1 = f2 = ||x||^2/2, f3 = 0.5 ||x||_1, gamma = 0.4."""
+        """x_f and x3 written out for f1 = f2 = ||x||^2/2, f3 = 0.5 ||x||_1, gamma = 0.4."""
         x_f = z / 1.4
         anchor = 2 * x_f - z - 0.4 * x_f
         return x_f, np.sign(anchor) * np.maximum(np.abs(anchor) - 0.4 * 0.5, 0.0)
 
     z = np.full(d, 2.0)
-    x_f, x_g = points(z)
-    z_plus = z + x_g - x_f
-    x_f_plus, x_g_plus = points(z_plus)
+    x_f, x3 = points(z)
+    z_plus = z + x3 - x_f
+    x_f_plus, x3_plus = points(z_plus)
     state, trace = run_dys(p, params, RealVector(z), StoppingRule(tol=1e-12, max_iter=1))
     assert [r.k for r in trace] == [1]
     assert np.allclose(state.z.data, z_plus, atol=1e-12)
     assert np.allclose(state.x_f.data, x_f_plus, atol=1e-12)
-    assert np.allclose(state.x_g.data, x_g_plus, atol=1e-12)
+    assert np.allclose(state.x3.data, x3_plus, atol=1e-12)
     assert math.isclose(trace[0].dx1, np.linalg.norm(x_f_plus - x_f), rel_tol=1e-12)
     state, _ = run_dys(p, params, RealVector(z), StoppingRule(tol=1e-9, max_iter=5000))
-    assert composite_residual(p, StoppingRule().prox_gamma, state.x_g) < 1e-9
+    assert composite_residual(p, StoppingRule().prox_gamma, state.x3) < 1e-9
 
 
 ALL_CHECKS = (

@@ -58,8 +58,8 @@ def _validate_alpha(alpha: float) -> None:
 
 
 def _validate_count(value, name: str, least: int = 1) -> None:
-    """The rule for every size, count and seed: an integer >= least, 1 or 0."""
-    if not (isinstance(value, (int, np.integer)) and value >= least):
+    """The rule for every size, count and seed: an integer >= least, 1 or 0; a bool is no count."""
+    if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least):
         kind = "positive" if least else "non-negative"
         raise InputError(f"{name} must be a {kind} integer, got {value!r}")
 

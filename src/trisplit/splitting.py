@@ -420,31 +420,31 @@ def _certificate(p: CompositeProblem, prox_gamma: float, rho: float, x: RealVect
     return prox_gamma * float(np.linalg.norm(v)) / (1.0 - prox_gamma * rho)
 
 
-def _iterate(p: CompositeProblem, stop: StoppingRule, state, point: str, step):
+def _iterate(p: CompositeProblem, stop: StoppingRule, state, step):
     """The iteration loop shared by every solver.
 
-    `point` names the state attribute the composite residual is taken at.
+    Every solver state names f3's prox point `x3` and f3's value there
+    `f3_at_x3`; the loop takes the residual and the objective at x3.
     `step(state)` returns the next state, whose `k` is one higher, the
-    remaining IterRecord fields, and the flat array its f3 prox was taken at,
-    so that point = prox_{gamma f3}(anchor) with gamma the `gamma` field; the
-    loop adds k, residual and time_ms. A step that changes its own
-    parameters, such as ryu+'s stepsize, does so inside `step`, from the
-    state it is given. The loop runs on one condition: the last residual, the
-    start's included, is not below tol and fewer than max_iter steps have
-    run. It returns the final state and the records, which are empty for a
-    start that already meets the tolerance.
+    remaining IterRecord fields, and the flat array anchor with
+    x3 = prox_{gamma f3}(anchor), gamma the `gamma` field; the loop adds k,
+    objective, residual and time_ms. A step that changes its own parameters,
+    such as ryu+'s stepsize, does so inside `step`, from the state it is
+    given. The loop runs on one condition: the last residual, the start's
+    included, is not below tol and fewer than max_iter steps have run. It
+    returns the final state and the records, which are empty for a start
+    that already meets the tolerance.
 
     The residual rule, stated here only. The residual is the exact
     `composite_residual` at the start, on the last step the budget allows,
     and wherever f3 states no weak-convexity modulus rho or
     prox_gamma * rho >= 1. Elsewhere the loop takes the certificate, an upper
-    bound on it from the subgradient u = (anchor - point)/gamma of f3 at the
-    point (`_certificate`), and takes the exact residual as well only where
-    the certificate is below CERTIFICATE_WINDOW * tol. So a run stops only on
-    an exact residual below tol, at the same iteration as on the exact
-    residual alone unless the certificate there exceeds it
-    CERTIFICATE_WINDOW-fold, and a converged or capped run's last record
-    holds the exact residual.
+    bound on it from the subgradient u = (anchor - x3)/gamma of f3 at x3
+    (`_certificate`), and takes the exact residual as well only where the
+    certificate is below CERTIFICATE_WINDOW * tol. So a run stops only on an
+    exact residual below tol, at the same iteration as on the exact residual
+    alone unless the certificate there exceeds it CERTIFICATE_WINDOW-fold,
+    and a converged or capped run's last record holds the exact residual.
 
     A non-finite objective, residual or certificate is divergence. On
     divergence the records so far are attached to the DivergenceError as
@@ -453,12 +453,13 @@ def _iterate(p: CompositeProblem, stop: StoppingRule, state, point: str, step):
     records: list[IterRecord] = []
     rho = p.f3.weak_convexity
     certify = rho is not None and stop.prox_gamma * rho < 1.0
-    residual = composite_residual(p, stop.prox_gamma, getattr(state, point))
+    residual = composite_residual(p, stop.prox_gamma, state.x3)
     t0 = time.perf_counter()
     try:
         while not residual < stop.tol and len(records) < stop.max_iter:
             nxt, fields, anchor = step(state)
-            x = getattr(nxt, point)
+            x = nxt.x3
+            objective = _objective(p, x, nxt.f3_at_x3)
             exact = not certify or len(records) + 1 == stop.max_iter
             if not exact:  # a non-finite certificate fails this test and is kept, so it diverges below
                 u = (anchor - x.data) / fields["gamma"]
@@ -468,11 +469,12 @@ def _iterate(p: CompositeProblem, stop: StoppingRule, state, point: str, step):
                 residual = composite_residual(p, stop.prox_gamma, x)
             rec = IterRecord(
                 k=nxt.k,
+                objective=objective,
                 residual=residual,
                 time_ms=(time.perf_counter() - t0) * 1e3,
                 **fields,
             )
-            if not (math.isfinite(rec.objective) and math.isfinite(residual)):
+            if not (math.isfinite(objective) and math.isfinite(residual)):
                 raise DivergenceError(f"objective or residual became non-finite at iteration {rec.k}")
             records.append(rec)
             state = nxt
@@ -528,7 +530,6 @@ def run_ryu(
         last = dict(
             gamma=params.gamma,
             envelope=state_envelope(p, params, nxt) if _envelope_enabled(p, params) else None,
-            objective=_objective(p, nxt.x3, nxt.f3_at_x3),
             dz1=_dist(nxt.z1, s.z1),
             dz2=_dist(nxt.z2, s.z2),
             dx1=_dist(nxt.x1, s.x1),
@@ -539,7 +540,7 @@ def run_ryu(
         anchor = nxt.x1.data - nxt.z1.data + nxt.x2.data - nxt.z2.data  # as make_state formed it
         return nxt, last, anchor
 
-    return _iterate(p, stop, state, "x3", step)
+    return _iterate(p, stop, state, step)
 
 
 TRACE_COLUMNS = tuple(f.name for f in fields(IterRecord))

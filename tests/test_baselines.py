@@ -46,17 +46,17 @@ class TestDysStep:
             return x_f, 2 * x_f - z - g * x_f  # identity prox of the zero term
 
         z = 1.4
-        x_f, x_g = points(z)
-        z_plus = z + lam * (x_g - x_f)
-        x_f_plus, x_g_plus = points(z_plus)
+        x_f, x3 = points(z)
+        z_plus = z + lam * (x3 - x_f)
+        x_f_plus, x3_plus = points(z_plus)
         state, trace = run_dys(prob, params, RealVector([z], (1,)), StoppingRule(tol=1e-12, max_iter=1))
         assert [r.k for r in trace] == [1]
         assert state.z.data[0] == pytest.approx(z_plus, rel=1e-15)
         assert state.x_f.data[0] == pytest.approx(x_f_plus, rel=1e-15)
-        assert state.x_g.data[0] == pytest.approx(x_g_plus, rel=1e-15)
+        assert state.x3.data[0] == pytest.approx(x3_plus, rel=1e-15)
         assert trace[0].dz1 == pytest.approx(abs(z_plus - z), rel=1e-15)
         assert trace[0].dx1 == pytest.approx(abs(x_f_plus - x_f), rel=1e-15)
-        assert trace[0].gap31 == pytest.approx(abs(x_g_plus - x_f_plus), rel=1e-15)
+        assert trace[0].gap31 == pytest.approx(abs(x3_plus - x_f_plus), rel=1e-15)
 
     def test_rejects_gamma_at_or_above_gradient_cap(self):
         prob, _ = convex_l1_problem(d=2)
@@ -70,7 +70,7 @@ class TestRunDys:
         prob, xstar = convex_l1_problem(d=5, seed=21)
         params = DysParams(gamma=0.9 / prob.f1.lipschitz)
         state, trace = run_dys(prob, params, stop=StoppingRule(tol=1e-9, max_iter=50000))
-        assert (state.x_g - xstar).norm() < 1e-6
+        assert (state.x3 - xstar).norm() < 1e-6
         assert trace[-1].residual < 1e-9
 
     def test_fixed_point_start_returns_empty_trace(self):
@@ -81,7 +81,7 @@ class TestRunDys:
         z0 = xstar + prob.f2.grad(xstar) * g
         state, trace = run_dys(prob, params, z0=z0)
         assert trace == []
-        assert (state.x_g - xstar).norm() < 1e-9
+        assert (state.x3 - xstar).norm() < 1e-9
 
     def test_divergence_attaches_partial_trace(self, monkeypatch):
         prob, _ = convex_l1_problem(d=3, seed=1)
@@ -117,7 +117,7 @@ class TestRunDys:
 
     def test_convex_gap_is_nonincreasing(self, rng):
         # for a fully convex triple the fixed-point map is averaged, so the
-        # per-step gap ||x_g - x_f|| cannot grow
+        # per-step gap ||x3 - x_f|| cannot grow
         prob = make_quadratic_problem(rng, d=6, f3="l1")
         params = DysParams(gamma=0.5 / prob.f1.lipschitz)
         _, trace = run_dys(prob, params, stop=StoppingRule(tol=1e-12, max_iter=400))

@@ -86,12 +86,14 @@ class TestInstanceGeneration:
             generate_instance(4, 4, 5, 10, seed=0)  # rank above min(m, n)
         with pytest.raises(InputError):
             generate_instance(4, 4, 2, 17, seed=0)  # more samples than entries
-        for name, size in [("m", 4.0), ("n", 4.5), ("r", 3.5), ("s", 10.0), ("r", 0), ("m", -1)]:
+        for name, size in [("m", 4.0), ("n", 4.5), ("r", 3.5), ("s", 10.0), ("r", 0), ("m", -1), ("r", True)]:
             with pytest.raises(InputError, match=f"^{name} must be a positive integer"):
                 generate_instance(**{**dict(m=4, n=4, r=2, s=10, seed=0), name: size})
+        with pytest.raises(InputError, match="^seed must be a non-negative integer, got False"):
+            generate_instance(True, True, True, True, seed=False)
 
     def test_seed_must_be_a_non_negative_integer(self):
-        for seed in (-1, np.int64(-1), 1.5):
+        for seed in (-1, np.int64(-1), 1.5, True, False):
             with pytest.raises(InputError, match="seed"):
                 generate_instance(4, 4, 2, 10, seed=seed)
         assert generate_instance(4, 4, 2, 10, seed=2**70).seed == 2**70
@@ -180,7 +182,7 @@ class TestRunExperiment:
             assert rep.iterations == 0 and rep.trace == () and rep.time_ms == 0.0
             assert rep.converged and not rep.capped and not rep.diverged
             assert rep.envelope_monotone is None
-            if algo == "dys":  # x_g from z = 0
+            if algo == "dys":  # x3 from z = 0
                 g = rep.gamma
                 x_f = p.f2.prox(g, zero)
                 x = p.f3.prox(g, 2.0 * x_f - g * p.f1.grad(x_f))
@@ -297,7 +299,7 @@ class TestRunBenchmark:
             (30, 0, "dys"), (30, 1, "dys"), (40, 0, "dys"), (40, 1, "dys")
         ]
 
-    @pytest.mark.parametrize("jobs", [0, -3, math.nan, 2.5])
+    @pytest.mark.parametrize("jobs", [0, -3, math.nan, 2.5, True])
     def test_rejects_jobs_below_one(self, jobs):
         with pytest.raises(InputError, match="jobs"):
             run_benchmark(sizes=[(12, 30)], seeds=[0], algos=["dys"], r=3, jobs=jobs, stop=SMALL_STOP)
@@ -352,30 +354,36 @@ class TestRunBenchmark:
         assert any(w.category is RuntimeWarning and "overflow" in str(w.message) for w in caught)
 
     @pytest.mark.parametrize(
-        "kw, error",
+        "kw, error, match",
         [
-            (dict(sizes=[(12, 40), (2, 4)]), InputError),  # r > n
-            (dict(sizes=[(12, 40), (4, 17)]), InputError),  # s > n^2
-            (dict(r=3.5), InputError),
-            (dict(seeds=[0, -1]), InputError),
-            (dict(algos=["dys", "bogus"]), InputError),
-            (dict(alpha=math.nan), InputError),
-            (dict(lam=3.0), InputError),
-            (dict(algos=["ryu"], gamma=-1.0), InputError),
-            (dict(gamma=0.1), InputError),  # dys needs gamma < 1/L1 = 0.1
-            (dict(lam1=math.nan), InputError),
-            (dict(tau=0.0), InputError),
-            (dict(gama=0.01), TypeError),  # a misspelled override
+            (dict(sizes=[(12, 40), (2, 4)]), InputError, r"^need 1 <= r"),
+            (dict(sizes=[(12, 40), (4, 17)]), InputError, r"^need 1 <= s"),
+            (dict(r=3.5), InputError, "^r must"),
+            (dict(seeds=[0, -1]), InputError, "^seed must"),
+            (dict(seeds=[True]), InputError, "^seed must"),
+            (dict(sizes=(12, 40)), InputError, "^sizes must"),  # one pair, not a list of pairs
+            (dict(algos=["dys", "bogus"]), InputError, "^algo must"),
+            (dict(algos="dys"), InputError, "^algos must"),  # a name, not a list of names
+            (dict(alpha=math.nan), InputError, "^alpha must"),
+            (dict(lam=3.0), InputError, "^lam must"),
+            (dict(algos=["ryu"], gamma=-1.0), InputError, "^gamma must"),
+            (dict(gamma=0.1), InputError, "^gamma=0.1 must"),  # dys needs gamma < 1/L1 = 0.1
+            (dict(lam1=math.nan), InputError, "^weight must"),
+            (dict(tau=0.0), InputError, "^tau must"),
+            (dict(gama=0.01), TypeError, "gama"),  # a misspelled override
         ],
-        ids=["r>n", "s>n^2", "r-float", "seed", "algo", "alpha", "lam", "ryu-gamma", "dys-gamma", "lam1", "tau", "override"],
+        ids=[
+            "r>n", "s>n^2", "r-float", "seed", "seed-bool", "sizes-pair", "algo", "algos-string",
+            "alpha", "lam", "ryu-gamma", "dys-gamma", "lam1", "tau", "override",
+        ],
     )
-    def test_bad_input_raises_before_any_worker_starts(self, kw, error, monkeypatch):
+    def test_bad_input_raises_before_any_worker_starts(self, kw, error, match, monkeypatch):
         def no_pool(*args, **kwargs):
             raise AssertionError("a worker pool was built for bad input")
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         base = dict(sizes=[(12, 40)], seeds=[0], algos=["dys"], r=3, jobs=2, stop=StoppingRule(max_iter=2))
-        with pytest.raises(error):
+        with pytest.raises(error, match=match):
             run_benchmark(**{**base, **kw})
 
     def test_no_tasks_start_no_workers(self, monkeypatch):

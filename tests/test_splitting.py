@@ -91,7 +91,7 @@ class TestParams:
             StoppingRule(prox_gamma=0.0)
         with pytest.raises(InputError):
             StoppingRule(tol=-1.0)
-        for bad in (0, 2.5, math.inf, math.nan):
+        for bad in (0, 2.5, math.inf, math.nan, True):
             with pytest.raises(InputError, match="max_iter"):
                 StoppingRule(max_iter=bad)
         for bad in (math.inf, math.nan):
@@ -479,7 +479,7 @@ class TestRunRyu:
         state, _ = run_ryu(prob, RelaxationParams(gamma=pl.gamma_ryu, lam=1.0, alpha=0.8), stop=stop)
         assert (state.x3 - xstar).norm() < 1e-6
         state, _ = run_dys(prob, DysParams(gamma=0.9 / prob.f1.lipschitz), stop=stop)
-        assert (state.x_g - xstar).norm() < 1e-6
+        assert (state.x3 - xstar).norm() < 1e-6
 
     def test_divergence_attaches_partial_trace(self, monkeypatch):
         prob, _ = convex_l1_problem(d=3, seed=1)
@@ -540,6 +540,14 @@ class TestRunRyu:
         assert trace[-1].objective == pytest.approx(
             evaluate_objective(prob, state.x3), rel=1e-12
         )
+
+    @pytest.mark.parametrize("algo", ["ryu", "ryu+", "dys"])
+    def test_every_solver_is_recorded_at_its_x3(self, tiny_instance, algo):
+        # the loop reads the objective and the residual at each state's x3 alone
+        p, stop, _, solve, _ = bench._set_up(tiny_instance, algo)
+        state, trace = solve()
+        assert float(p.f1.value(state.x3)) + float(p.f2.value(state.x3)) + state.f3_at_x3 == trace[-1].objective
+        assert composite_residual(p, stop.prox_gamma, state.x3) == trace[-1].residual
 
 
 PROTOCOL_SEED = dict(m=100, n=100, r=10, s=1000)
