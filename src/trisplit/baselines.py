@@ -41,7 +41,6 @@ class DysState:
     x_f: RealVector
     x3: RealVector
     f3_at_x3: float
-    k: int = 0
 
 
 def _check_gamma(p: CompositeProblem, params: DysParams) -> None:
@@ -52,13 +51,13 @@ def _check_gamma(p: CompositeProblem, params: DysParams) -> None:
         )
 
 
-def _make_state(p: CompositeProblem, params: DysParams, z: RealVector, k: int) -> tuple[DysState, np.ndarray]:
+def _make_state(p: CompositeProblem, params: DysParams, z: RealVector) -> tuple[DysState, np.ndarray]:
     """The state at z, and the anchor its x3 = prox_{gamma f3}(anchor) was taken at."""
     gamma = params.gamma
     x_f = p.f2.prox(gamma, z)
     anchor = 2.0 * x_f.data - z.data - gamma * p.f1.grad(x_f).data
     x3, f3v = p.f3.prox_with_value(gamma, z.with_data(anchor))
-    return DysState(z=z, x_f=x_f, x3=x3, f3_at_x3=f3v, k=k), anchor
+    return DysState(z=z, x_f=x_f, x3=x3, f3_at_x3=f3v), anchor
 
 
 def run_dys(
@@ -79,10 +78,8 @@ def run_dys(
     z = z0 if z0 is not None else p.zeros()
     _check_gamma(p, params)
 
-    def step(s: DysState):
-        k = s.k + 1
-        z = _relax(params.lam, s.z, s.x3, s.x_f, f"z became non-finite at iteration {k}")
-        nxt, anchor = _make_state(p, params, z, k=k)
+    def step(s: DysState, _prev: IterRecord | None):  # no controller reads the previous record
+        nxt, anchor = _make_state(p, params, _relax(params.lam, s.z, s.x3, s.x_f, "z"))
         fields = dict(
             gamma=params.gamma,
             envelope=None,
@@ -95,4 +92,4 @@ def run_dys(
         )
         return nxt, fields, anchor
 
-    return _iterate(p, stop, _make_state(p, params, z, k=0)[0], step)
+    return _iterate(p, stop, _make_state(p, params, z)[0], step)

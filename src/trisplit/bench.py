@@ -23,7 +23,7 @@ import numpy as np
 from .baselines import DysParams, _check_gamma, run_dys
 from .core import CompositeProblem, DivergenceError, InputError, RealVector
 from .core import _validate_alpha, _validate_count
-from .proxlib import MaskedQuadraticTerm, NonnegDistanceTerm, SpectralMCPTerm
+from .proxlib import MaskedQuadraticTerm, NonnegDistanceTerm, SpectralMCPTerm, _validate_penalty
 from .splitting import (
     IterRecord,
     RelaxationParams,
@@ -85,6 +85,8 @@ def generate_instance(
     _validate_count(seed, "seed", least=0)
     for name, size in (("m", m), ("n", n), ("r", r), ("s", s)):
         _validate_count(size, name)
+    _validate_penalty(lam1, name="lam1")
+    _validate_penalty(lam2, tau, name="lam2")
     if not r <= min(m, n):
         raise InputError(f"need 1 <= r <= min(m, n), got r={r}, m={m}, n={n}")
     if not s <= m * n:
@@ -168,9 +170,10 @@ def _set_up(inst, algo, lam=1.0, alpha=0.99, gamma=None, stop=None):
         controller = AdaptiveController(sp.gamma_ryu, gamma if gamma is not None else 10.0 * gdys)
         gamma = controller.gamma_current
     params = RelaxationParams(gamma=gamma if gamma is not None else sp.gamma_ryu, lam=lam, alpha=alpha)
-    lowest = controller.floor if controller else params.gamma
-    warning = None if lowest <= sp.thm2_cap else (
-        f"stepsize {lowest:.6g} exceeds min(alpha/L1, (1-alpha)/L2) = {sp.thm2_cap:.6g}; "
+    # every plan puts 0.99 gamma_ryu, the controller's floor, below thm2_cap (see
+    # StepsizePlan), so only a run without a controller can stay above it
+    warning = None if controller or params.gamma <= sp.thm2_cap else (
+        f"stepsize {params.gamma:.6g} exceeds min(alpha/L1, (1-alpha)/L2) = {sp.thm2_cap:.6g}; "
         "that is above the planner's certified range too, so neither the "
         "envelope-descent nor the subsequential-convergence guarantee applies"
     )

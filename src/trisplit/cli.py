@@ -137,7 +137,7 @@ def _removed_on_failure(made: list[Path]):
 
 def cmd_plan(args) -> int:
     sp = plan(args.l1, args.l2, **_given(args, "lam", "alpha"))
-    fields = {**dataclasses.asdict(sp), "gamma_in_thm2_cap": sp.gamma_in_thm2_cap}
+    fields = dataclasses.asdict(sp)
     if args.format == "json":
         print(json.dumps(fields, indent=1))
     else:

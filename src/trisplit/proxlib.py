@@ -38,10 +38,11 @@ __all__ = [
 ]
 
 
-def _validate_penalty(weight: float, tau: float | None = None) -> None:
-    """The rules of every penalty term: weight in [0, inf) and an MCP knee tau > 0."""
+def _validate_penalty(weight: float, tau: float | None = None, name: str = "weight") -> None:
+    """The rules of every penalty term: a weight in [0, inf), named `name` in the
+    error, and an MCP knee tau > 0."""
     if not 0 <= weight < np.inf:
-        raise InputError(f"weight must be finite and nonnegative, got {weight}")
+        raise InputError(f"{name} must be finite and nonnegative, got {weight}")
     if tau is not None and not tau > 0:
         raise InputError(f"tau must be positive, got {tau}")
 

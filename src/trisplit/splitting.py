@@ -107,7 +107,6 @@ class SplitState:
     x2: RealVector
     x3: RealVector
     f3_at_x3: float
-    k: int = 0
 
 
 @dataclass(frozen=True)
@@ -168,14 +167,14 @@ def _dist(a: RealVector, b: RealVector) -> float:
     return float(np.linalg.norm(a.data - b.data))
 
 
-def _relax(lam: float, z: RealVector, x_new: RealVector, x_old: RealVector, msg: str) -> RealVector:
-    """z + lam (x_new - x_old); a non-finite entry is a DivergenceError(msg)."""
+def _relax(lam: float, z: RealVector, x_new: RealVector, x_old: RealVector, name: str) -> RealVector:
+    """z + lam (x_new - x_old); a non-finite entry is a DivergenceError naming `name`."""
     with np.errstate(over="ignore", invalid="ignore"):
         arr = z.data + lam * (x_new.data - x_old.data)
     try:
         return z.with_data(arr)
     except NumericalError:
-        raise DivergenceError(msg) from None
+        raise DivergenceError(f"{name} became non-finite") from None
 
 
 def _smooth_points(
@@ -192,22 +191,19 @@ def _smooth_points(
     return x1, x2
 
 
-def make_state(
-    p: CompositeProblem, params: RelaxationParams, z1: RealVector, z2: RealVector, k: int = 0
-) -> SplitState:
+def make_state(p: CompositeProblem, params: RelaxationParams, z1: RealVector, z2: RealVector) -> SplitState:
     """Compute the shadow points for (z1, z2) and bundle them into a state."""
     x1, x2 = _smooth_points(p, params, z1, z2)
     anchor = x1.data - z1.data + x2.data - z2.data
     x3, f3v = p.f3.prox_with_value(params.gamma, z1.with_data(anchor))
-    return SplitState(z1=z1, z2=z2, x1=x1, x2=x2, x3=x3, f3_at_x3=f3v, k=k)
+    return SplitState(z1=z1, z2=z2, x1=x1, x2=x2, x3=x3, f3_at_x3=f3v)
 
 
 def ryu_step(p: CompositeProblem, params: RelaxationParams, s: SplitState) -> SplitState:
     """One full iteration: relax the governing variables, refresh shadow points."""
-    k, lam = s.k + 1, params.lam
-    z1 = _relax(lam, s.z1, s.x3, s.x1, f"z1 became non-finite at iteration {k}")
-    z2 = _relax(lam, s.z2, s.x3, s.x2, f"z2 became non-finite at iteration {k}")
-    return make_state(p, params, z1, z2, k=k)
+    z1 = _relax(params.lam, s.z1, s.x3, s.x1, "z1")
+    z2 = _relax(params.lam, s.z2, s.x3, s.x2, "z2")
+    return make_state(p, params, z1, z2)
 
 
 def _require_envelope(params: RelaxationParams) -> None:
@@ -425,12 +421,13 @@ def _iterate(p: CompositeProblem, stop: StoppingRule, state, step):
 
     Every solver state names f3's prox point `x3` and f3's value there
     `f3_at_x3`; the loop takes the residual and the objective at x3.
-    `step(state)` returns the next state, whose `k` is one higher, the
-    remaining IterRecord fields, and the flat array anchor with
-    x3 = prox_{gamma f3}(anchor), gamma the `gamma` field; the loop adds k,
-    objective, residual and time_ms. A step that changes its own parameters,
-    such as ryu+'s stepsize, does so inside `step`, from the state it is
-    given. The loop runs on one condition: the last residual, the start's
+    `step(state, prev)` gets the previous IterRecord as prev (None on the
+    first step) and returns the next state, the remaining IterRecord fields,
+    and the flat array anchor with x3 = prox_{gamma f3}(anchor), gamma the
+    `gamma` field. The loop alone numbers the steps: it adds k, objective,
+    residual and time_ms, and a step that needs k reads prev.k. A step that
+    changes its own parameters, such as ryu+'s stepsize, does so inside
+    `step`. The loop runs on one condition: the last residual, the start's
     included, is not below tol and fewer than max_iter steps have run. It
     returns the final state and the records, which are empty for a start
     that already meets the tolerance.
@@ -446,9 +443,9 @@ def _iterate(p: CompositeProblem, stop: StoppingRule, state, step):
     alone unless the certificate there exceeds it CERTIFICATE_WINDOW-fold,
     and a converged or capped run's last record holds the exact residual.
 
-    A non-finite objective, residual or certificate is divergence. On
-    divergence the records so far are attached to the DivergenceError as
-    `.trace`.
+    A non-finite objective, residual or certificate is divergence. Every
+    DivergenceError leaves the loop naming the step that raised it, with the
+    records so far attached as `.trace`.
     """
     records: list[IterRecord] = []
     rho = p.f3.weak_convexity
@@ -457,10 +454,11 @@ def _iterate(p: CompositeProblem, stop: StoppingRule, state, step):
     t0 = time.perf_counter()
     try:
         while not residual < stop.tol and len(records) < stop.max_iter:
-            nxt, fields, anchor = step(state)
+            k = len(records) + 1
+            nxt, fields, anchor = step(state, records[-1] if records else None)
             x = nxt.x3
             objective = _objective(p, x, nxt.f3_at_x3)
-            exact = not certify or len(records) + 1 == stop.max_iter
+            exact = not certify or k == stop.max_iter
             if not exact:  # a non-finite certificate fails this test and is kept, so it diverges below
                 u = (anchor - x.data) / fields["gamma"]
                 residual = _certificate(p, stop.prox_gamma, rho, x, u)
@@ -468,17 +466,18 @@ def _iterate(p: CompositeProblem, stop: StoppingRule, state, step):
             if exact:
                 residual = composite_residual(p, stop.prox_gamma, x)
             rec = IterRecord(
-                k=nxt.k,
+                k=k,
                 objective=objective,
                 residual=residual,
                 time_ms=(time.perf_counter() - t0) * 1e3,
                 **fields,
             )
             if not (math.isfinite(objective) and math.isfinite(residual)):
-                raise DivergenceError(f"objective or residual became non-finite at iteration {rec.k}")
+                raise DivergenceError("objective or residual became non-finite")
             records.append(rec)
             state = nxt
     except DivergenceError as err:
+        err.args = (f"{err} at iteration {len(records) + 1}",)
         err.trace = tuple(records)
         raise
     return state, records
@@ -509,25 +508,24 @@ def run_ryu(
     stop = stop or StoppingRule()
     z1 = z1_0 if z1_0 is not None else p.zeros()
     z2 = z2_0 if z2_0 is not None else p.zeros()
-    state = make_state(p, params, z1, z2, k=0)
-    last = None  # the previous step's record fields, which the controller reads
+    state = make_state(p, params, z1, z2)
 
-    def step(s: SplitState):
-        nonlocal params, last
-        if controller is not None and last is not None:
+    def step(s: SplitState, prev: IterRecord | None):
+        nonlocal params
+        if controller is not None and prev is not None:
             new_gamma = controller.update(
-                k=s.k,
-                dx1_norm=last["dx1"],
-                dx2_norm=last["dx2"],
+                k=prev.k,
+                dx1_norm=prev.dx1,
+                dx2_norm=prev.dx2,
                 x1_norm=s.x1.norm(),
                 x2_norm=s.x2.norm(),
             )
             if new_gamma != params.gamma:
                 params = replace(params, gamma=new_gamma)
                 # shadow points depend on gamma: refresh for the new value
-                s = make_state(p, params, s.z1, s.z2, k=s.k)
+                s = make_state(p, params, s.z1, s.z2)
         nxt = ryu_step(p, params, s)
-        last = dict(
+        fields = dict(
             gamma=params.gamma,
             envelope=state_envelope(p, params, nxt) if _envelope_enabled(p, params) else None,
             dz1=_dist(nxt.z1, s.z1),
@@ -538,7 +536,7 @@ def run_ryu(
             gap32=_dist(nxt.x3, nxt.x2),
         )
         anchor = nxt.x1.data - nxt.z1.data + nxt.x2.data - nxt.z2.data  # as make_state formed it
-        return nxt, last, anchor
+        return nxt, fields, anchor
 
     return _iterate(p, stop, state, step)
 

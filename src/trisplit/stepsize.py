@@ -199,11 +199,6 @@ class StepsizePlan:
     gamma_ryu: float
     thm2_cap: float
 
-    @property
-    def gamma_in_thm2_cap(self) -> bool:
-        """Whether gamma_ryu also satisfies the stronger subsequential-convergence cap."""
-        return self.gamma_ryu <= self.thm2_cap
-
 
 def plan(L1: float, L2: float, lam: float = 1.0, alpha: float = 0.99) -> StepsizePlan:
     """Optimize the epsilons and assemble the stepsize plan.

@@ -91,6 +91,13 @@ class TestInstanceGeneration:
                 generate_instance(**{**dict(m=4, n=4, r=2, s=10, seed=0), name: size})
         with pytest.raises(InputError, match="^seed must be a non-negative integer, got False"):
             generate_instance(True, True, True, True, seed=False)
+        for name in ("lam1", "lam2"):
+            for weight in (math.nan, math.inf, -1.0):
+                with pytest.raises(InputError, match=f"^{name} must be finite and nonnegative"):
+                    generate_instance(4, 4, 2, 10, seed=0, **{name: weight})
+        for tau in (0.0, math.nan):
+            with pytest.raises(InputError, match="^tau must be positive"):
+                generate_instance(4, 4, 2, 10, seed=0, tau=tau)
 
     def test_seed_must_be_a_non_negative_integer(self):
         for seed in (-1, np.int64(-1), 1.5, True, False):
@@ -368,13 +375,14 @@ class TestRunBenchmark:
             (dict(lam=3.0), InputError, "^lam must"),
             (dict(algos=["ryu"], gamma=-1.0), InputError, "^gamma must"),
             (dict(gamma=0.1), InputError, "^gamma=0.1 must"),  # dys needs gamma < 1/L1 = 0.1
-            (dict(lam1=math.nan), InputError, "^weight must"),
+            (dict(lam1=math.nan), InputError, "^lam1 must"),
+            (dict(lam2=-1.0), InputError, "^lam2 must"),
             (dict(tau=0.0), InputError, "^tau must"),
             (dict(gama=0.01), TypeError, "gama"),  # a misspelled override
         ],
         ids=[
             "r>n", "s>n^2", "r-float", "seed", "seed-bool", "sizes-pair", "algo", "algos-string",
-            "alpha", "lam", "ryu-gamma", "dys-gamma", "lam1", "tau", "override",
+            "alpha", "lam", "ryu-gamma", "dys-gamma", "lam1", "lam2", "tau", "override",
         ],
     )
     def test_bad_input_raises_before_any_worker_starts(self, kw, error, match, monkeypatch):

@@ -50,12 +50,10 @@ class TestPlanCommand:
             "gamma_upper",
             "gamma_ryu",
             "thm2_cap",
-            "gamma_in_thm2_cap",
         ]
         assert payload["alpha_bar"] == pytest.approx(0.6180339887498949, rel=1e-12)
         assert payload["gamma_ryu"] == pytest.approx(0.004850206820383053, rel=1e-9)
         assert payload["thm2_cap"] == pytest.approx(0.01, rel=1e-12)
-        assert payload["gamma_in_thm2_cap"] is True
 
     def test_text_output_lists_every_field(self, capsys):
         rc = cli.main(["plan", "--l1", "10", "--l2", "1"])

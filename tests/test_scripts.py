@@ -34,12 +34,9 @@ def test_stepsize_landscape_writes_both_csvs(tmp_path):
     assert planner_cap >= max(float(row[2]) for row in grid[1:-1]) * (1.0 - 1e-9)
 
     sweep = read_csv(tmp_path / "alpha_sweep.csv")
-    assert sweep[0] == [
-        "lam", "alpha", "alpha_bar", "gamma_ryu", "gamma_upper", "thm2_cap", "gamma_in_thm2_cap"
-    ]
+    assert sweep[0] == ["lam", "alpha", "alpha_bar", "gamma_ryu", "gamma_upper", "thm2_cap"]
     assert len(sweep) == 1 + 3 * 200
     for row in sweep[1:]:
-        lam, alpha, alpha_bar, gamma_ryu, gamma_upper, thm2_cap = map(float, row[:6])
+        lam, alpha, alpha_bar, gamma_ryu, gamma_upper, thm2_cap = map(float, row)
         assert alpha_bar < alpha < 1.0
-        assert 0.0 < gamma_ryu < gamma_upper
-        assert row[6] == str(int(gamma_ryu <= thm2_cap))
+        assert 0.0 < gamma_ryu < gamma_upper < thm2_cap

@@ -68,6 +68,19 @@ class NoModulus(ProxTerm):
         return self.inner.prox_with_value(gamma, z)
 
 
+class Drift(ProxTerm):
+    """The linear f3(x) = -c sum(x), whose prox moves every entry by gamma c."""
+
+    def __init__(self, c):
+        self.c = c
+
+    def value(self, x):
+        return -self.c * float(x.data.sum())
+
+    def prox(self, gamma, z):
+        return z.with_data(z.data + gamma * self.c)
+
+
 class TestParams:
     def test_relaxation_params_validation(self):
         for gamma in (0.0, math.inf, math.nan):
@@ -123,7 +136,6 @@ class TestStepTranscription:
         nxt = ryu_step(prob, params, s)
         assert nxt.z1.data[0] == pytest.approx(z1 + lam * (x3 - x1), rel=1e-15)
         assert nxt.z2.data[0] == pytest.approx(z2 + lam * (x3 - x2), rel=1e-15)
-        assert nxt.k == 1
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -175,8 +187,9 @@ class TestStepTranscription:
         )
         big = RealVector([1e308], (1,))
         zero = RealVector([0.0], (1,))
-        s = SplitState(z1=big, z2=zero, x1=zero, x2=zero, x3=big, f3_at_x3=0.0, k=0)
-        with pytest.raises(DivergenceError):
+        s = SplitState(z1=big, z2=zero, x1=zero, x2=zero, x3=big, f3_at_x3=0.0)
+        # outside a run there is no iteration to name
+        with pytest.raises(DivergenceError, match="^z1 became non-finite$"):
             ryu_step(prob, RelaxationParams(gamma=0.1, lam=2.0), s)
 
 
@@ -432,7 +445,7 @@ class TestRunRyu:
         for rec in trace:
             if rec.gamma != params.gamma:
                 params = RelaxationParams(gamma=rec.gamma, lam=1.0, alpha=0.8)
-                s = make_state(prob, params, s.z1, s.z2, k=s.k)
+                s = make_state(prob, params, s.z1, s.z2)
             s = ryu_step(prob, params, s)
             objectives.append(evaluate_objective(prob, s.x3))
         return s, objectives
@@ -446,6 +459,17 @@ class TestRunRyu:
         # each record's gamma is the stepsize its step ran at
         _, objectives = self.replay(prob, trace)
         assert [r.objective for r in trace] == pytest.approx(objectives, rel=1e-12)
+
+    def test_the_loop_numbers_the_records_of_every_solver(self):
+        # ryu+ across its controller's cuts, and ryu and dys from the same start
+        prob, _, _, _, cutting = self.cutting_run(StoppingRule(tol=1e-10, max_iter=200))
+        assert len({r.gamma for r in cutting}) > 1
+        stop = StoppingRule(tol=1e-10, max_iter=60)
+        params = RelaxationParams(gamma=cutting[-1].gamma, lam=1.0, alpha=0.8)
+        _, fixed = run_ryu(prob, params, self.START, self.START, stop)
+        _, dys = run_dys(prob, DysParams(gamma=0.5 / prob.f1.lipschitz), self.START, stop)
+        for trace in (cutting, fixed, dys):
+            assert [r.k for r in trace] == list(range(1, len(trace) + 1))
 
     def test_a_step_records_the_envelope_exactly_below_the_prox_bound(self):
         # the cutting run starts above 1/(L1+L2) and cuts down to a floor below it
@@ -494,7 +518,7 @@ class TestRunRyu:
             return real_step(p, pr, s)
 
         monkeypatch.setattr(splitting, "ryu_step", flaky)
-        with pytest.raises(DivergenceError) as exc_info:
+        with pytest.raises(DivergenceError, match="^synthetic blow-up at iteration 4$") as exc_info:
             run_ryu(prob, params, stop=StoppingRule(tol=1e-12, max_iter=50))
         assert len(exc_info.value.trace) == 3
 
@@ -508,6 +532,26 @@ class TestRunRyu:
         with pytest.raises(DivergenceError) as exc_info:
             run_ryu(prob, params, stop=StoppingRule(tol=1e-12, max_iter=50))
         assert [r.k for r in exc_info.value.trace] == [1, 2]
+        assert str(exc_info.value) == "objective or residual became non-finite at iteration 3"
+
+    @pytest.mark.parametrize(
+        "run, name",
+        [
+            (lambda prob: run_ryu(prob, RelaxationParams(gamma=1.0, lam=2.0)), "z1"),
+            (lambda prob: run_dys(prob, DysParams(gamma=1.0, lam=2.0)), "z"),
+        ],
+        ids=["ryu", "dys"],
+    )
+    def test_an_overflowing_governing_variable_is_named_with_its_step(self, run, name, monkeypatch):
+        # from z = 0 the start's x3 is gamma c = 1e308, so the first
+        # relaxation, z + 2 (x3 - 0), overflows; the residual is held at 1,
+        # as the exact one would overflow at this scale
+        q = QuadraticTerm(matrix=1e-3 * np.eye(1), center=np.zeros(1))
+        prob = CompositeProblem(f1=q, f2=q, f3=Drift(1e308), shape=(1,))
+        monkeypatch.setattr(splitting, "composite_residual", lambda p, g, x: 1.0)
+        with pytest.raises(DivergenceError, match=f"^{name} became non-finite at iteration 1$") as exc_info:
+            run(prob)
+        assert exc_info.value.trace == ()
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_nonfinite_certificate_is_divergence(self, monkeypatch, bad):

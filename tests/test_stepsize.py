@@ -99,7 +99,6 @@ class TestPlan:
         assert p.gamma_ryu == pytest.approx(0.004850206820383053, rel=1e-6)
         assert p.gamma_ryu == pytest.approx(0.99 * p.gamma_upper, rel=1e-12)
         assert p.thm2_cap == pytest.approx(0.01)
-        assert p.gamma_in_thm2_cap
 
     @pytest.mark.parametrize(
         "args, eps1, eps2, gamma_ryu, gamma_upper",
