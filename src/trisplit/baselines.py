@@ -69,10 +69,8 @@ def run_dys(
     """Iterate until the composite residual at x3 drops below tol or max_iter.
 
     The residual is taken by the rule that `splitting._iterate` states.
-    Shares the trace schema of the relaxed runner; the single governing
-    variable's displacement is reported as dz1, the first prox point's as
-    dx1, and the prox-point gap ||x3 - x_f|| as gap31. The columns without a
-    counterpart (envelope, dz2, dx2, gap32) hold None/0.
+    Shares the trace schema of the relaxed runner, with the columns that
+    `IterRecord` states for a one-variable solver.
     """
     stop = stop or StoppingRule()
     z = z0 if z0 is not None else p.zeros()
@@ -82,13 +80,9 @@ def run_dys(
         nxt, anchor = _make_state(p, params, _relax(params.lam, s.z, s.x3, s.x_f, "z"))
         fields = dict(
             gamma=params.gamma,
-            envelope=None,
             dz1=_dist(nxt.z, s.z),
-            dz2=0.0,
             dx1=_dist(nxt.x_f, s.x_f),
-            dx2=0.0,
             gap31=_dist(nxt.x3, nxt.x_f),
-            gap32=0.0,
         )
         return nxt, fields, anchor
 

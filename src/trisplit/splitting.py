@@ -109,25 +109,31 @@ class SplitState:
     f3_at_x3: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class IterRecord:
     """Per-iteration diagnostics; norms of the displacements and gaps.
 
     `residual` is the composite residual or a certified upper bound on it, by
-    the rule that `_iterate` states.
+    the rule that `_iterate` states. The blank rule, stated here only: a
+    column that a solver has no counterpart for keeps its default, None for
+    `envelope` and 0.0 for the rest. `run_ryu` leaves `envelope` blank where
+    it does not record it. The one-variable Davis-Yin solver reports its
+    governing variable's displacement as dz1, its first prox point's as dx1
+    and the gap ||x3 - x_f|| as gap31, and leaves envelope, dz2, dx2 and
+    gap32 blank.
     """
 
     k: int
     gamma: float
-    envelope: float | None
+    envelope: float | None = None
     objective: float
     residual: float
     dz1: float
-    dz2: float
+    dz2: float = 0.0
     dx1: float
-    dx2: float
+    dx2: float = 0.0
     gap31: float
-    gap32: float
+    gap32: float = 0.0
     time_ms: float
 
 
@@ -422,15 +428,16 @@ def _iterate(p: CompositeProblem, stop: StoppingRule, state, step):
     Every solver state names f3's prox point `x3` and f3's value there
     `f3_at_x3`; the loop takes the residual and the objective at x3.
     `step(state, prev)` gets the previous IterRecord as prev (None on the
-    first step) and returns the next state, the remaining IterRecord fields,
-    and the flat array anchor with x3 = prox_{gamma f3}(anchor), gamma the
-    `gamma` field. The loop alone numbers the steps: it adds k, objective,
-    residual and time_ms, and a step that needs k reads prev.k. A step that
-    changes its own parameters, such as ryu+'s stepsize, does so inside
-    `step`. The loop runs on one condition: the last residual, the start's
-    included, is not below tol and fewer than max_iter steps have run. It
-    returns the final state and the records, which are empty for a start
-    that already meets the tolerance.
+    first step) and returns the next state, the remaining IterRecord fields
+    it has a value for (the rest keep IterRecord's blanks), and the flat
+    array anchor with x3 = prox_{gamma f3}(anchor), gamma the `gamma` field.
+    The loop alone numbers the steps: it adds k, objective, residual and
+    time_ms, and a step that needs k reads prev.k. A step that changes its
+    own parameters, such as ryu+'s stepsize, does so inside `step`. The loop
+    runs on one condition: the last residual, the start's included, is not
+    below tol and fewer than max_iter steps have run. It returns the final
+    state and the records, which are empty for a start that already meets
+    the tolerance.
 
     The residual rule, stated here only. The residual is the exact
     `composite_residual` at the start, on the last step the budget allows,
@@ -443,14 +450,17 @@ def _iterate(p: CompositeProblem, stop: StoppingRule, state, step):
     alone unless the certificate there exceeds it CERTIFICATE_WINDOW-fold,
     and a converged or capped run's last record holds the exact residual.
 
-    A non-finite objective, residual or certificate is divergence. Every
-    DivergenceError leaves the loop naming the step that raised it, with the
-    records so far attached as `.trace`.
+    A start whose residual is not finite is lost numerics: NumericalError,
+    before any step. After the start, a non-finite objective, residual or
+    certificate is divergence. Every DivergenceError leaves the loop naming
+    the step that raised it, with the records so far attached as `.trace`.
     """
     records: list[IterRecord] = []
     rho = p.f3.weak_convexity
     certify = rho is not None and stop.prox_gamma * rho < 1.0
     residual = composite_residual(p, stop.prox_gamma, state.x3)
+    if not math.isfinite(residual):
+        raise NumericalError("the composite residual at the start is not finite")
     t0 = time.perf_counter()
     try:
         while not residual < stop.tol and len(records) < stop.max_iter:
@@ -497,14 +507,19 @@ def run_ryu(
     z1 = z2 = 0 unless given. A step records the envelope exactly when
     alpha < 1, the gamma it ran at is below 1/(L1+L2) (strictly, so gamma f3
     stays prox-bounded) and the dimension is at most 1e4; otherwise the
-    envelope field is None. `controller`, when given, may lower gamma at the
-    start of every step but the first, from the previous step's shadow-point
-    displacements (see the stepsize planner); the step's shadow points are
-    recomputed whenever it does.
+    envelope field is None. `controller`, when given, owns the stepsize: it
+    must start at params.gamma, or InputError is raised before any state is
+    built. It may lower gamma at the start of every step but the first, from
+    the previous step's shadow-point displacements (see the stepsize
+    planner); the step's shadow points are recomputed whenever it does.
 
     On divergence raises DivergenceError with the trace so far attached as
     `.trace`.
     """
+    if controller is not None and controller.gamma_current != params.gamma:
+        raise InputError(
+            f"gamma={params.gamma} must equal the controller's current stepsize {controller.gamma_current}"
+        )
     stop = stop or StoppingRule()
     z1 = z1_0 if z1_0 is not None else p.zeros()
     z2 = z2_0 if z2_0 is not None else p.zeros()
@@ -522,7 +537,8 @@ def run_ryu(
             )
             if new_gamma != params.gamma:
                 params = replace(params, gamma=new_gamma)
-                # shadow points depend on gamma: refresh for the new value
+                # shadow points depend on gamma: refresh for the new value,
+                # from which the step's dx1 and dx2 are measured
                 s = make_state(p, params, s.z1, s.z2)
         nxt = ryu_step(p, params, s)
         fields = dict(

@@ -250,7 +250,9 @@ class AdaptiveController:
     These fixed triggers are guesses outside the descent guarantee and never
     fire on the benchmark protocol, so a run can end far above gamma_ryu.
     gamma_current never increases, never drops below the floor, and is
-    clamped up to it at construction.
+    clamped up to it at construction. A run it controls starts at
+    gamma_current: `run_ryu` refuses a controller whose gamma_current differs
+    from its params.gamma with InputError.
     """
 
     gamma_ryu: float

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import trisplit.baselines as baselines
+import trisplit.splitting as splitting
 from trisplit import (
     CompositeProblem,
     DivergenceError,
@@ -18,6 +20,8 @@ from trisplit import (
     run_dys,
 )
 from trisplit.checks import convex_l1_problem, make_quadratic_problem
+
+from bits import bits
 
 
 class TestDysParams:
@@ -105,6 +109,25 @@ class TestRunDys:
             z0 = RealVector(np.full(prob.dim, 1.7e308), prob.shape)
             with pytest.raises(NumericalError), np.errstate(over="ignore"):
                 run_dys(prob, DysParams(gamma=0.05), z0=z0)
+
+    def test_every_trace_column_measures_its_step_states(self, tiny_instance):
+        # one-step runs chained from the full run's start give each step's
+        # (start, next) states
+        prob = build_problem(tiny_instance)
+        params = DysParams(gamma=0.5 / prob.f1.lipschitz)
+        stop = StoppingRule(tol=1e-10, max_iter=20)
+        _, trace = run_dys(prob, params, stop=stop)
+        assert len(trace) == 20
+        states = [baselines._make_state(prob, params, prob.zeros())[0]]
+        for _ in trace:
+            state, one = run_dys(prob, params, states[-1].z, dataclasses.replace(stop, max_iter=1))
+            assert len(one) == 1
+            states.append(state)
+        dist = splitting._dist
+        for rec, s, nxt in zip(trace, states, states[1:]):
+            assert bits((rec.dz1, rec.dx1, rec.gap31)) == bits(
+                (dist(nxt.z, s.z), dist(nxt.x_f, s.x_f), dist(nxt.x3, nxt.x_f))
+            )
 
     def test_trace_schema_padding(self):
         prob, _ = convex_l1_problem(d=3, seed=17)

@@ -1,6 +1,5 @@
 import concurrent.futures
 import csv
-import dataclasses
 import math
 import multiprocessing
 import os
@@ -39,6 +38,8 @@ from trisplit.bench import (
     write_summary_csv,
 )
 from trisplit.checks import SMALL_BENCH
+
+from bits import bits
 
 SMALL_STOP = StoppingRule(tol=1e-3, max_iter=4000)
 
@@ -203,7 +204,7 @@ class TestRunExperiment:
             assert rep.objective == pytest.approx(evaluate_objective(p, x), rel=1e-12)
             assert rep.residual == composite_residual(p, stop.prox_gamma, x)
         pinned = run_benchmark([(12, 40)], [0], ALGOS, r=3, jobs=1, stop=stop)
-        assert [bitwise(rep) for rep in pinned] == [bitwise(reports[algo]) for algo in ALGOS]
+        assert [bits(rep) for rep in pinned] == [bits(reports[algo]) for algo in ALGOS]
 
     def test_divergence_reported_not_raised(self, tiny_instance, monkeypatch):
         def blow_up(*args, **kwargs):
@@ -290,13 +291,13 @@ class TestRunBenchmark:
         serial = run_benchmark(jobs=1, **kw)
         parallel = run_benchmark(jobs=2, **kw)
         assert [(r.seed, r.algo) for r in serial] == [(seed, algo) for seed in (0, 1) for algo in ALGOS]
-        assert [bitwise(r) for r in parallel] == [bitwise(r) for r in serial]
+        assert [bits(r) for r in parallel] == [bits(r) for r in serial]
         # at 300x300 a spectral prox's bits depend on the BLAS thread count
         kw = dict(sizes=[(300, 10000)], seeds=[0], algos=ALGOS, stop=StoppingRule(max_iter=3))
         serial = run_benchmark(jobs=1, **kw)
         parallel = run_benchmark(jobs=2, **kw)
         assert [r.iterations for r in serial] == [3, 3, 3]
-        assert [bitwise(r) for r in parallel] == [bitwise(r) for r in serial]
+        assert [bits(r) for r in parallel] == [bits(r) for r in serial]
 
     @pytest.mark.parametrize("one_shot", ["sizes", "seeds", "algos"])
     def test_one_shot_iterables_keep_every_task(self, one_shot):
@@ -414,14 +415,3 @@ def pid_spy(*args):
     It runs in a worker, whose bench module is not patched."""
     report, caught = bench._run_task(*args)
     return report, [*caught, (UserWarning(f"task ran in pid {os.getpid()}"), UserWarning, __file__, 1)]
-
-
-def bitwise(obj):
-    """Every dataclass field except time_ms, recursively, with floats as hex."""
-    if isinstance(obj, float):
-        return obj.hex()
-    if isinstance(obj, tuple):
-        return [bitwise(x) for x in obj]
-    if dataclasses.is_dataclass(obj):
-        return {f.name: bitwise(getattr(obj, f.name)) for f in dataclasses.fields(obj) if f.name != "time_ms"}
-    return obj

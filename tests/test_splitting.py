@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import trisplit.baselines as baselines
 import trisplit.bench as bench
 import trisplit.splitting as splitting
 from trisplit import (
@@ -50,6 +51,8 @@ from trisplit import (
 from trisplit.checks import convex_l1_problem, make_quadratic_problem
 from trisplit.splitting import CERTIFICATE_WINDOW, TRACE_COLUMNS
 
+from bits import bits
+
 
 class NoModulus(ProxTerm):
     """Delegates to an f3 without stating its weak-convexity modulus, as a
@@ -79,6 +82,14 @@ class Drift(ProxTerm):
 
     def prox(self, gamma, z):
         return z.with_data(z.data + gamma * self.c)
+
+
+def overflowing_problem():
+    """From z = 0 the start's x3 is gamma c = 1e308, so the exact residual's
+    norm overflows to inf, and so does the first relaxation at lam = 2,
+    z + 2 (x3 - 0)."""
+    q = QuadraticTerm(matrix=1e-3 * np.eye(1), center=np.zeros(1))
+    return CompositeProblem(f1=q, f2=q, f3=Drift(1e308), shape=(1,))
 
 
 class TestParams:
@@ -438,17 +449,20 @@ class TestRunRyu:
     @classmethod
     def replay(cls, prob, trace):
         """The cutting run's steps by hand, each at the stepsize its record
-        gives; returns the final state and each step's objective."""
+        gives; returns the final state, each step's objective, and each step's
+        (start, next) states, the start rebuilt at the step's stepsize."""
         params = RelaxationParams(gamma=trace[0].gamma, lam=1.0, alpha=0.8)
         s = make_state(prob, params, cls.START, cls.START)
-        objectives = []
+        objectives, steps = [], []
         for rec in trace:
             if rec.gamma != params.gamma:
                 params = RelaxationParams(gamma=rec.gamma, lam=1.0, alpha=0.8)
                 s = make_state(prob, params, s.z1, s.z2)
-            s = ryu_step(prob, params, s)
+            nxt = ryu_step(prob, params, s)
+            steps.append((s, nxt))
+            s = nxt
             objectives.append(evaluate_objective(prob, s.x3))
-        return s, objectives
+        return s, objectives, steps
 
     def test_controller_shrinks_gamma_and_trace_records_it(self):
         prob, pl, ctrl, _, trace = self.cutting_run(StoppingRule(tol=1e-10, max_iter=200))
@@ -457,8 +471,43 @@ class TestRunRyu:
         assert gammas[-1] == pytest.approx(ctrl.floor)
         assert gammas[0] == pytest.approx(50.0 * pl.gamma_ryu)
         # each record's gamma is the stepsize its step ran at
-        _, objectives = self.replay(prob, trace)
+        _, objectives, _ = self.replay(prob, trace)
         assert [r.objective for r in trace] == pytest.approx(objectives, rel=1e-12)
+
+    def test_every_trace_column_measures_its_step_states(self):
+        # a cut step's dx1 and dx2 measure from the start rebuilt at the new
+        # stepsize, not from the state the previous step returned
+        prob, _, _, _, trace = self.cutting_run(StoppingRule(tol=1e-10, max_iter=200))
+        _, _, steps = self.replay(prob, trace)
+        assert len(trace) == 200 and len({r.gamma for r in trace}) > 1
+        dist = splitting._dist
+        for rec, (s, nxt) in zip(trace, steps):
+            assert bits((rec.dz1, rec.dz2, rec.dx1, rec.dx2, rec.gap31, rec.gap32)) == bits((
+                dist(nxt.z1, s.z1),
+                dist(nxt.z2, s.z2),
+                dist(nxt.x1, s.x1),
+                dist(nxt.x2, s.x2),
+                dist(nxt.x3, nxt.x1),
+                dist(nxt.x3, nxt.x2),
+            ))
+
+    def test_a_controller_must_start_at_the_run_stepsize(self, tiny_instance, monkeypatch):
+        # a controller started above params.gamma would raise the stepsize at
+        # its first step; the run is refused before any state is built
+        prob = build_problem(tiny_instance)
+        pl = plan(prob.f1.lipschitz, prob.f2.lipschitz)
+        ctrl = AdaptiveController(gamma_ryu=pl.gamma_ryu, gamma_current=0.5)
+        assert ctrl.gamma_current == 0.5
+        built, real_make_state = [], splitting.make_state
+
+        def spy(*args):
+            built.append(args)
+            return real_make_state(*args)
+
+        monkeypatch.setattr(splitting, "make_state", spy)
+        with pytest.raises(InputError, match="controller"):
+            run_ryu(prob, RelaxationParams(gamma=0.01), controller=ctrl)
+        assert built == []
 
     def test_the_loop_numbers_the_records_of_every_solver(self):
         # ryu+ across its controller's cuts, and ryu and dys from the same start
@@ -486,7 +535,7 @@ class TestRunRyu:
         assert [r.k for r in trace] == [1, 2, 3]
         assert ctrl.gamma_current == trace[-1].gamma
         assert evaluate_objective(prob, state.x3) == pytest.approx(trace[-1].objective, rel=1e-12)
-        replayed, _ = self.replay(prob, trace)
+        replayed, _, _ = self.replay(prob, trace)
         npt.assert_array_equal(state.x3.data, replayed.x3.data)
 
     def test_solvers_reach_the_minimizer_through_the_fallback_prox(self):
@@ -543,15 +592,32 @@ class TestRunRyu:
         ids=["ryu", "dys"],
     )
     def test_an_overflowing_governing_variable_is_named_with_its_step(self, run, name, monkeypatch):
-        # from z = 0 the start's x3 is gamma c = 1e308, so the first
-        # relaxation, z + 2 (x3 - 0), overflows; the residual is held at 1,
-        # as the exact one would overflow at this scale
-        q = QuadraticTerm(matrix=1e-3 * np.eye(1), center=np.zeros(1))
-        prob = CompositeProblem(f1=q, f2=q, f3=Drift(1e308), shape=(1,))
+        # the residual is held at 1, as the exact one overflows at this scale
         monkeypatch.setattr(splitting, "composite_residual", lambda p, g, x: 1.0)
         with pytest.raises(DivergenceError, match=f"^{name} became non-finite at iteration 1$") as exc_info:
-            run(prob)
+            run(overflowing_problem())
         assert exc_info.value.trace == ()
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda prob: run_ryu(prob, RelaxationParams(gamma=1.0, lam=2.0)),
+            lambda prob: run_dys(prob, DysParams(gamma=1.0, lam=2.0)),
+        ],
+        ids=["ryu", "dys"],
+    )
+    def test_a_start_whose_residual_overflows_takes_no_step(self, run, monkeypatch):
+        relaxed, real_relax = [], splitting._relax
+
+        def spy(*args):
+            relaxed.append(args)
+            return real_relax(*args)
+
+        monkeypatch.setattr(splitting, "_relax", spy)
+        monkeypatch.setattr(baselines, "_relax", spy)
+        with pytest.raises(NumericalError, match="at the start"), np.errstate(over="ignore"):
+            run(overflowing_problem())
+        assert relaxed == []
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_nonfinite_certificate_is_divergence(self, monkeypatch, bad):
@@ -618,22 +684,16 @@ def forbid_certificate(monkeypatch):
     monkeypatch.setattr(splitting, "_certificate", fail)
 
 
-def field_bits(obj, skip):
-    """The dataclass's fields but `skip`, floats as exact hex."""
-    values = (getattr(obj, f.name) for f in dataclasses.fields(obj) if f.name not in skip)
-    return [v.hex() if isinstance(v, float) else v for v in values]
-
-
 def certified_rows(exact, windowed, tol):
     """Check that two reports of one run agree bit for bit in every field but
     time_ms and trace, and their traces in every field but residual and
     time_ms. A residual inside the window or on the last row must be the
     exact one; elsewhere it must be at least the exact one. Returns the number
     of rows whose residual differs."""
-    assert field_bits(windowed, ("time_ms", "trace")) == field_bits(exact, ("time_ms", "trace"))
+    assert bits(windowed, ("time_ms", "trace")) == bits(exact, ("time_ms", "trace"))
     assert len(windowed.trace) == len(exact.trace)
     for w, e in zip(windowed.trace, exact.trace):
-        assert field_bits(w, ("residual", "time_ms")) == field_bits(e, ("residual", "time_ms"))
+        assert bits(w, ("residual", "time_ms")) == bits(e, ("residual", "time_ms"))
         if w.residual < CERTIFICATE_WINDOW * tol or w is windowed.trace[-1]:
             assert w.residual == e.residual
         else:
