@@ -52,7 +52,9 @@ __all__ = [
 ]
 
 ALGOS = ("ryu", "ryu+", "dys")
-DEFAULT_SIZES = ((100, 1000), (300, 10000))
+# The protocol size, the one that the acceptance criteria verify. (300, 10000)
+# runs only when named: it costs 13 times the protocol's task time (README).
+DEFAULT_SIZES = ((100, 1000),)
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,10 +144,17 @@ class RunReport:
 
 
 def _envelope_monotone(trace: Sequence[IterRecord]) -> bool | None:
-    values = [r.envelope for r in trace if r.envelope is not None]
-    if len(values) < 2:
+    """Whether no recorded envelope rises above the one recorded before it at
+    the same stepsize, to 1e-10 relative; None where no such pair exists.
+
+    The envelope is a different function at each stepsize, and the paper's
+    descent holds at a fixed one, so a pair across a stepsize cut compares
+    nothing."""
+    recorded = [(r.gamma, r.envelope) for r in trace if r.envelope is not None]
+    pairs = [(a, b) for (ga, a), (gb, b) in zip(recorded, recorded[1:]) if ga == gb]
+    if not pairs:
         return None
-    return all(b <= a + 1e-10 * (1.0 + abs(a)) for a, b in zip(values, values[1:]))
+    return all(b <= a + 1e-10 * (1.0 + abs(a)) for a, b in pairs)
 
 
 def _set_up(inst, algo, lam=1.0, alpha=0.99, gamma=None, stop=None):

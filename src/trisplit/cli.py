@@ -1,5 +1,5 @@
 """Command-line interface: solve one instance, print a stepsize plan,
-reproduce the benchmark table, or run the diagnostic suite.
+run the benchmark protocol, or run the diagnostic suite.
 
 Exit codes: 0 success, 1 invariant/diagnostic failure, 2 input error
 (including an output path that cannot be written), 3 numerical failure.
@@ -84,15 +84,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = subs.add_parser("solve", help="run one algorithm on one synthetic instance")
     p_solve.add_argument("--algo", choices=ALGOS, required=True)
-    p_solve.add_argument("--n", type=int, default=100, help="matrix size (n x n)")
-    p_solve.add_argument("--s", type=int, default=1000, help="number of observed entries")
+    n, s = DEFAULT_SIZES[0]
+    p_solve.add_argument("--n", type=int, default=n, help="matrix size (n x n)")
+    p_solve.add_argument("--s", type=int, default=s, help="number of observed entries")
     p_solve.add_argument("--seed", type=int, default=0)
     p_solve.add_argument("--trace", default=None, help="write the iteration trace here")
     p_solve.add_argument("--format", choices=("csv", "json"), default="csv")
     _add_protocol_flags(p_solve)
     p_solve.set_defaults(func=cmd_solve)
 
-    p_bench = subs.add_parser("bench", help="reproduce the benchmark table")
+    p_bench = subs.add_parser("bench", help="run the benchmark protocol and print its table")
     p_bench.add_argument("--seeds", type=int, default=5, help="number of seeds (0..seeds-1)")
     p_bench.add_argument(
         "--sizes",

@@ -16,6 +16,7 @@ import trisplit.bench as bench
 from trisplit import (
     DivergenceError,
     InputError,
+    IterRecord,
     MaskedQuadraticTerm,
     NonnegDistanceTerm,
     NumericalError,
@@ -216,6 +217,26 @@ class TestRunExperiment:
         rep = run_experiment(tiny_instance, "ryu", stop=SMALL_STOP)
         assert rep.diverged and not rep.converged and not rep.capped
         assert rep.objective == math.inf and rep.residual == math.inf
+
+
+def record(k, gamma, envelope):
+    return IterRecord(k=k, gamma=gamma, envelope=envelope, objective=0.0, residual=1.0, dz1=0.0, dx1=0.0, gap31=0.0, time_ms=0.0)
+
+
+@pytest.mark.parametrize(
+    "steps, monotone",
+    [
+        pytest.param([(0.1, 2.0), (0.1, 3.0)], False, id="rise-at-one-stepsize"),
+        pytest.param([(0.2, 2.0), (0.1, 3.0), (0.1, 2.5)], True, id="rise-only-across-a-cut"),
+        pytest.param([(0.2, 2.0), (0.1, 3.0), (0.1, 3.5)], False, id="rise-after-a-cut"),
+        pytest.param([(0.2, 2.0), (0.1, 3.0)], None, id="no-pair-at-one-stepsize"),
+        pytest.param([(0.1, None), (0.1, 2.0)], None, id="one-recorded"),
+    ],
+)
+def test_envelope_monotone_compares_envelopes_at_one_stepsize(steps, monotone):
+    # the envelope is a different function at each stepsize: descent holds at a fixed one
+    trace = [record(k, gamma, envelope) for k, (gamma, envelope) in enumerate(steps, start=1)]
+    assert bench._envelope_monotone(trace) is monotone
 
 
 # 40 in-process iterations of each algorithm on the protocol instance

@@ -180,6 +180,26 @@ class TestBenchCommand:
         assert rc == 2
         assert capsys.readouterr().err == f"input error: {message}\n"
 
+    def test_bare_bench_runs_the_protocol_and_bare_solve_its_size(self, monkeypatch):
+        # the defaults are what the CLI hands run_benchmark; solve's size is
+        # read from DEFAULT_SIZES, not restated
+        class Handed(Exception):
+            pass
+
+        def capture(*args, **kwargs):
+            raise Handed(args, kwargs)
+
+        monkeypatch.setattr(cli, "run_benchmark", capture)
+        with pytest.raises(Handed) as handed:
+            cli.main(["bench"])
+        sizes, seeds, algos = handed.value.args[0]
+        assert sizes == [(100, 1000)] and list(seeds) == [0, 1, 2, 3, 4] and algos == list(ALGOS)
+        monkeypatch.setattr(cli, "DEFAULT_SIZES", ((7, 30),))
+        with pytest.raises(Handed) as handed:
+            cli.main(["solve", "--algo", "dys"])
+        sizes, seeds, algos = handed.value.args[0]
+        assert sizes == [(7, 30)] and seeds == [0] and algos == ["dys"]
+
     def test_parse_sizes(self):
         assert cli._parse_sizes("100:1000,300:10000") == [(100, 1000), (300, 10000)]
         with pytest.raises(argparse.ArgumentTypeError):

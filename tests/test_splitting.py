@@ -528,6 +528,15 @@ class TestRunRyu:
         assert [r.envelope is not None for r in trace] == [r.gamma < bound for r in trace]
         assert {r.envelope is None for r in trace} == {True, False}
 
+    def test_envelope_monotone_compares_only_envelopes_at_one_stepsize(self):
+        # the envelope rises across the cuts after steps 3 and 4, where it
+        # changes function, and never between two records at the same stepsize
+        prob, _, _, _, trace = self.cutting_run(StoppingRule(tol=1e-10, max_iter=200))
+        recorded = [r for r in trace if r.envelope is not None]
+        rises = [(a.k, b.k, a.gamma == b.gamma) for a, b in zip(recorded, recorded[1:]) if b.envelope > a.envelope]
+        assert rises == [(3, 4, False), (4, 5, False)]
+        assert bench._envelope_monotone(trace) is True
+
     def test_controller_is_not_consulted_after_the_last_iteration(self):
         # a cut after the third and last step would return a state rebuilt at
         # a stepsize that no iteration ran at
