@@ -13,7 +13,7 @@ gradient slot. So x3 is f3's prox point, the name `splitting._iterate` reads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,10 +37,14 @@ class DysParams:
 
 @dataclass(frozen=True)
 class DysState:
+    """The module's z, x_f and x3; f3_at_x3 = f3(x3); the read-only flat array u = (a - x3)/gamma,
+    a = 2 x_f - z - gamma grad f1(x_f), is in f3's regular subdifferential at x3 (prox optimality)."""
+
     z: RealVector
     x_f: RealVector
     x3: RealVector
     f3_at_x3: float
+    u: np.ndarray = field(compare=False)
 
 
 def _check_gamma(p: CompositeProblem, params: DysParams) -> None:
@@ -51,13 +55,14 @@ def _check_gamma(p: CompositeProblem, params: DysParams) -> None:
         )
 
 
-def _make_state(p: CompositeProblem, params: DysParams, z: RealVector) -> tuple[DysState, np.ndarray]:
-    """The state at z, and the anchor its x3 = prox_{gamma f3}(anchor) was taken at."""
+def _make_state(p: CompositeProblem, params: DysParams, z: RealVector) -> DysState:
     gamma = params.gamma
     x_f = p.f2.prox(gamma, z)
     anchor = 2.0 * x_f.data - z.data - gamma * p.f1.grad(x_f).data
     x3, f3v = p.f3.prox_with_value(gamma, z.with_data(anchor))
-    return DysState(z=z, x_f=x_f, x3=x3, f3_at_x3=f3v), anchor
+    u = (anchor - x3.data) / gamma  # a new array: x3 may share anchor's buffer
+    u.setflags(write=False)
+    return DysState(z=z, x_f=x_f, x3=x3, f3_at_x3=f3v, u=u)
 
 
 def run_dys(
@@ -77,13 +82,13 @@ def run_dys(
     _check_gamma(p, params)
 
     def step(s: DysState, _prev: IterRecord | None):  # no controller reads the previous record
-        nxt, anchor = _make_state(p, params, _relax(params.lam, s.z, s.x3, s.x_f, "z"))
+        nxt = _make_state(p, params, _relax(params.lam, s.z, s.x3, s.x_f, "z"))
         fields = dict(
             gamma=params.gamma,
             dz1=_dist(nxt.z, s.z),
             dx1=_dist(nxt.x_f, s.x_f),
             gap31=_dist(nxt.x3, nxt.x_f),
         )
-        return nxt, fields, anchor
+        return nxt, fields
 
-    return _iterate(p, stop, _make_state(p, params, z)[0], step)
+    return _iterate(p, stop, _make_state(p, params, z), step)

@@ -1,8 +1,8 @@
 """Command-line interface: solve one instance, print a stepsize plan,
 run the benchmark protocol, or run the diagnostic suite.
 
-Exit codes: 0 success, 1 invariant/diagnostic failure, 2 input error
-(including an output path that cannot be written), 3 numerical failure.
+Exit codes: 0 success, 1 diagnostic failure or a dead worker process, 2 input
+error (including an output path that cannot be written), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import dataclasses
 import json
 import os
 import sys
+from concurrent.futures import BrokenExecutor
 from pathlib import Path
 
 import numpy as np
@@ -176,9 +177,9 @@ def cmd_solve(args) -> int:
 def cmd_bench(args) -> int:
     _validate_count(args.seeds, "--seeds")
     made = _missing(args.outdir) if args.outdir else []
-    if args.outdir:
-        Path(args.outdir).mkdir(parents=True, exist_ok=True)
     with _removed_on_failure(made):
+        if args.outdir:
+            Path(args.outdir).mkdir(parents=True, exist_ok=True)
         protocol_kw = _protocol_keywords(args)
         for n, _ in args.sizes:
             _validate_count(n, "--sizes n")  # else generate_instance names it m
@@ -221,6 +222,9 @@ def main(argv=None) -> int:
     except ArithmeticError as exc:  # NumericalError, ZeroDivisionError, OverflowError
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except BrokenExecutor as exc:  # a bench worker died, e.g. killed for its memory
+        print(f"worker failure: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -33,7 +33,7 @@ import csv
 import json
 import math
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Sequence, TextIO
 
 import numpy as np
@@ -98,7 +98,8 @@ class SplitState:
     """Governing variables plus the shadow points computed from them.
 
     Invariants: x1 = prox_{gamma f1}(z1); x2 = prox_{(gamma/alpha) f2}(z2/alpha + x1);
-    x3 in prox_{gamma f3}(x1 - z1 + x2 - z2); f3_at_x3 = f3(x3).
+    x3 in prox_{gamma f3}(a), a = x1 - z1 + x2 - z2; f3_at_x3 = f3(x3); the read-only flat
+    array u = (a - x3)/gamma is in f3's regular subdifferential at x3 (prox optimality).
     """
 
     z1: RealVector
@@ -107,6 +108,7 @@ class SplitState:
     x2: RealVector
     x3: RealVector
     f3_at_x3: float
+    u: np.ndarray = field(compare=False)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -202,7 +204,9 @@ def make_state(p: CompositeProblem, params: RelaxationParams, z1: RealVector, z2
     x1, x2 = _smooth_points(p, params, z1, z2)
     anchor = x1.data - z1.data + x2.data - z2.data
     x3, f3v = p.f3.prox_with_value(params.gamma, z1.with_data(anchor))
-    return SplitState(z1=z1, z2=z2, x1=x1, x2=x2, x3=x3, f3_at_x3=f3v)
+    u = (anchor - x3.data) / params.gamma  # a new array: x3 may share anchor's buffer
+    u.setflags(write=False)
+    return SplitState(z1=z1, z2=z2, x1=x1, x2=x2, x3=x3, f3_at_x3=f3v, u=u)
 
 
 def ryu_step(p: CompositeProblem, params: RelaxationParams, s: SplitState) -> SplitState:
@@ -422,8 +426,8 @@ def _certificate(p: CompositeProblem, prox_gamma: float, rho: float, x: RealVect
     An upper bound on `composite_residual(p, g, x)` when u is a subgradient
     of a rho-weakly convex f3 at x and g rho < 1: then x = prox_{g f3}(x + g u),
     and prox_{g f3} is 1/(1 - g rho)-Lipschitz (Drusvyatskiy & Lewis, Math.
-    Oper. Res. 2018). x = prox_{gamma f3}(anchor) makes u = (anchor - x)/gamma
-    such a subgradient, so the bound costs two gradients and no prox.
+    Oper. Res. 2018). A solver state's u is such a subgradient at its x3, so
+    the bound costs two gradients and no prox.
     """
     v = u + p.f1.grad(x).data + p.f2.grad(x).data
     return prox_gamma * float(np.linalg.norm(v)) / (1.0 - prox_gamma * rho)
@@ -432,30 +436,29 @@ def _certificate(p: CompositeProblem, prox_gamma: float, rho: float, x: RealVect
 def _iterate(p: CompositeProblem, stop: StoppingRule, state, step):
     """The iteration loop shared by every solver.
 
-    Every solver state names f3's prox point `x3` and f3's value there
-    `f3_at_x3`; the loop takes the residual and the objective at x3.
-    `step(state, prev)` gets the previous IterRecord as prev (None on the
-    first step) and returns the next state, the remaining IterRecord fields
-    it has a value for (the rest keep IterRecord's blanks), and the flat
-    array anchor with x3 = prox_{gamma f3}(anchor), gamma the `gamma` field.
-    The loop alone numbers the steps: it adds k, objective, residual and
-    time_ms, and a step that needs k reads prev.k. A step that changes its
-    own parameters, such as ryu+'s stepsize, does so inside `step`. The loop
-    runs on one condition: the last residual, the start's included, is not
-    below tol and fewer than max_iter steps have run. It returns the final
-    state and the records, which are empty for a start that already meets
-    the tolerance.
+    Every solver state names f3's prox point `x3`, f3's value there
+    `f3_at_x3` and the subgradient `u` of f3 at x3 that the prox yields; the
+    loop takes the residual and the objective at x3. `step(state, prev)` gets
+    the previous IterRecord as prev (None on the first step) and returns the
+    next state and the remaining IterRecord fields it has a value for (the
+    rest keep IterRecord's blanks). The loop alone numbers the steps: it adds
+    k, objective, residual and time_ms, and a step that needs k reads prev.k.
+    A step that changes its own parameters, such as ryu+'s stepsize, does so
+    inside `step`. The loop runs on one condition: the last residual, the
+    start's included, is not below tol and fewer than max_iter steps have
+    run. It returns the final state and the records, which are empty for a
+    start that already meets the tolerance.
 
     The residual rule, stated here only. The residual is the exact
     `composite_residual` at the start, on the last step the budget allows,
     and wherever f3 states no weak-convexity modulus rho or
     prox_gamma * rho >= 1. Elsewhere the loop takes the certificate, an upper
-    bound on it from the subgradient u = (anchor - x3)/gamma of f3 at x3
-    (`_certificate`), and takes the exact residual as well only where the
-    certificate is below CERTIFICATE_WINDOW * tol. So a run stops only on an
-    exact residual below tol, at the same iteration as on the exact residual
-    alone unless the certificate there exceeds it CERTIFICATE_WINDOW-fold,
-    and a converged or capped run's last record holds the exact residual.
+    bound on it from the state's u (`_certificate`), and takes the exact
+    residual as well only where the certificate is below
+    CERTIFICATE_WINDOW * tol. So a run stops only on an exact residual below
+    tol, at the same iteration as on the exact residual alone unless the
+    certificate there exceeds it CERTIFICATE_WINDOW-fold, and a converged or
+    capped run's last record holds the exact residual.
 
     A start whose residual is not finite is lost numerics: NumericalError,
     before any step. After the start, a non-finite objective, residual or
@@ -472,13 +475,12 @@ def _iterate(p: CompositeProblem, stop: StoppingRule, state, step):
     try:
         while not residual < stop.tol and len(records) < stop.max_iter:
             k = len(records) + 1
-            nxt, fields, anchor = step(state, records[-1] if records else None)
+            nxt, fields = step(state, records[-1] if records else None)
             x = nxt.x3
             objective = _objective(p, x, nxt.f3_at_x3)
             exact = not certify or k == stop.max_iter
             if not exact:  # a non-finite certificate fails this test and is kept, so it diverges below
-                u = (anchor - x.data) / fields["gamma"]
-                residual = _certificate(p, stop.prox_gamma, rho, x, u)
+                residual = _certificate(p, stop.prox_gamma, rho, x, nxt.u)
                 exact = residual < CERTIFICATE_WINDOW * stop.tol
             if exact:
                 residual = composite_residual(p, stop.prox_gamma, x)
@@ -558,8 +560,7 @@ def run_ryu(
             gap31=_dist(nxt.x3, nxt.x1),
             gap32=_dist(nxt.x3, nxt.x2),
         )
-        anchor = nxt.x1.data - nxt.z1.data + nxt.x2.data - nxt.z2.data  # as make_state formed it
-        return nxt, fields, anchor
+        return nxt, fields
 
     return _iterate(p, stop, state, step)
 

@@ -118,7 +118,7 @@ class TestRunDys:
         stop = StoppingRule(tol=1e-10, max_iter=20)
         _, trace = run_dys(prob, params, stop=stop)
         assert len(trace) == 20
-        states = [baselines._make_state(prob, params, prob.zeros())[0]]
+        states = [baselines._make_state(prob, params, prob.zeros())]
         for _ in trace:
             state, one = run_dys(prob, params, states[-1].z, dataclasses.replace(stop, max_iter=1))
             assert len(one) == 1

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trisplit import checks, cli
+from trisplit import bench, checks, cli
 from trisplit.bench import ALGOS
 from trisplit.core import DivergenceError, InputError
 from trisplit.splitting import TRACE_COLUMNS, EnvelopeUndefinedError
@@ -325,6 +325,11 @@ class TestExitCodes:
                 id="bench-rejected-nested",
             ),
             pytest.param(["bench", "--seeds", "1", "--rank", "30", "--outdir", "o2"], 2, id="bench-rejected"),
+            pytest.param(
+                ["bench", "--seeds", "1", "--rank", "3", "--algos", "dys", "--outdir", "o3/" + "x" * 300],
+                2,
+                id="bench-rejected-long-name",
+            ),
         ],
     )
     def test_rejected_or_failed_run_leaves_no_new_path(self, argv, code, tmp_path, monkeypatch, capsys):
@@ -491,6 +496,30 @@ def test_failing_bench_worker_prints_only_the_error_line(argv, code, prefix, cap
     assert rc == code
     lines = capfd.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(prefix), lines
+    assert not multiprocessing.active_children()
+
+
+def dying_task(*args):
+    """bench._run_task as a worker that dies mid-task, as one the OOM killer
+    ends. It runs in a worker, whose bench module is not patched."""
+    os._exit(1)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [*BENCH_TWO_WORKERS, "--outdir", "new"],
+        ["solve", "--algo", "dys", "--n", "12", "--s", "40", "--trace", "new.csv"],
+    ],
+    ids=["bench", "solve"],
+)
+def test_a_dead_worker_is_one_line_and_exit_1(argv, tmp_path, monkeypatch, capfd):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(bench, "_run_task", dying_task)
+    assert cli.main([*argv, "--rank", "3", "--max-iter", "20"]) == 1
+    lines = capfd.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("worker failure: "), lines
+    assert list(tmp_path.iterdir()) == []
     assert not multiprocessing.active_children()
 
 

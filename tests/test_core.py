@@ -129,8 +129,12 @@ class TestRealVector:
         assert a == a and a != b
         assert hash(a) == hash(a) and len({a, b}) == 2
         # states compare their vectors with ==, so they compare too
-        assert SplitState(a, a, a, a, a, 0.0) == SplitState(a, a, a, a, a, 0.0)
-        assert SplitState(a, a, a, a, a, 0.0) != SplitState(b, a, a, a, a, 0.0)
+        u = np.zeros(2)
+        assert SplitState(a, a, a, a, a, 0.0, u) == SplitState(a, a, a, a, a, 0.0, u)
+        assert SplitState(a, a, a, a, a, 0.0, u) != SplitState(b, a, a, a, a, 0.0, u)
+        # the subgradient array u is left out of == and hash
+        s, t = SplitState(a, a, a, a, a, 0.0, np.zeros(2)), SplitState(a, a, a, a, a, 0.0, np.ones(2))
+        assert s == t and hash(s) == hash(t)
 
     def test_pickle_round_trip_is_read_only_with_the_same_bits(self):
         v = RealVector([[1.5, -0.0], [np.pi, 5e-324]], (2, 2))

@@ -198,7 +198,7 @@ class TestStepTranscription:
         )
         big = RealVector([1e308], (1,))
         zero = RealVector([0.0], (1,))
-        s = SplitState(z1=big, z2=zero, x1=zero, x2=zero, x3=big, f3_at_x3=0.0)
+        s = SplitState(z1=big, z2=zero, x1=zero, x2=zero, x3=big, f3_at_x3=0.0, u=np.zeros(1))
         # outside a run there is no iteration to name
         with pytest.raises(DivergenceError, match="^z1 became non-finite$"):
             ryu_step(prob, RelaxationParams(gamma=0.1, lam=2.0), s)
@@ -711,6 +711,49 @@ def certified_rows(exact, windowed, tol):
 
 
 class TestResidualCertificate:
+    def test_every_state_carries_the_subgradient_its_f3_prox_yields(self, tiny_instance, monkeypatch):
+        # u = (anchor - x3)/gamma bit for bit, with the anchor formed by hand
+        # from the state's fields and gamma from the step's record: every
+        # (start, next) pair the loop sees for ryu and dys on the 12x9
+        # instance, and every pair of the cutting run, cut rebuilds included
+        def anchor(prob, s, gamma):
+            if isinstance(s, SplitState):
+                return s.x1.data - s.z1.data + s.x2.data - s.z2.data
+            return 2.0 * s.x_f.data - s.z.data - gamma * prob.f1.grad(s.x_f).data
+
+        prob, _, _, _, trace = TestRunRyu.cutting_run(StoppingRule(tol=1e-10, max_iter=200))
+        assert len({r.gamma for r in trace}) > 1
+        _, _, steps = TestRunRyu.replay(prob, trace)
+        checked = [(prob, s, rec.gamma) for rec, pair in zip(trace, steps) for s in pair]
+        seen, real_iterate = [], splitting._iterate
+
+        def watching_iterate(p, stop, state, step):
+            def watched(s, prev):
+                nxt, fields = step(s, prev)
+                seen.append((s, nxt))
+                return nxt, fields
+
+            return real_iterate(p, stop, state, watched)
+
+        monkeypatch.setattr(splitting, "_iterate", watching_iterate)
+        monkeypatch.setattr(baselines, "_iterate", watching_iterate)
+        tiny = build_problem(tiny_instance)
+        stop = StoppingRule(tol=1e-6, max_iter=300)
+        gamma_ryu = plan(tiny.f1.lipschitz, tiny.f2.lipschitz).gamma_ryu
+        for run in (
+            lambda: run_ryu(tiny, RelaxationParams(gamma=gamma_ryu), stop=stop),
+            lambda: run_dys(tiny, DysParams(gamma=0.5 / tiny.f1.lipschitz), stop=stop),
+        ):
+            seen.clear()
+            _, tiny_trace = run()
+            assert len(seen) == len(tiny_trace) > 10
+            checked += [(tiny, s, rec.gamma) for rec, pair in zip(tiny_trace, seen) for s in pair]
+        for p, s, gamma in checked:
+            assert s.u.tobytes() == ((anchor(p, s, gamma) - s.x3.data) / gamma).tobytes()
+            assert not s.u.flags.writeable and not np.shares_memory(s.u, s.x3.data)
+        with pytest.raises(ValueError):
+            checked[-1][1].u[0] = 0.0
+
     @pytest.mark.parametrize("algo", ["ryu", "ryu+", "dys"])
     def test_bounds_the_residual_on_the_protocol_instance(self, monkeypatch, algo):
         # tol = 1e-12 keeps every step but the last outside the window
