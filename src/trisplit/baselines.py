@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import CompositeProblem, InputError, RealVector, _validate_gamma, _validate_lam
-from .splitting import IterRecord, StoppingRule, _dist, _iterate, _relax
+from .splitting import IterRecord, StoppingRule, _dist, _f3_step, _iterate, _relax
 
 __all__ = ["DysParams", "DysState", "run_dys"]
 
@@ -37,8 +37,8 @@ class DysParams:
 
 @dataclass(frozen=True)
 class DysState:
-    """The module's z, x_f and x3; f3_at_x3 = f3(x3); the read-only flat array u = (a - x3)/gamma,
-    a = 2 x_f - z - gamma grad f1(x_f), is in f3's regular subdifferential at x3 (prox optimality)."""
+    """The module's z and x_f; x3, f3_at_x3 and u are `splitting._f3_step`'s at the anchor
+    2 x_f - z - gamma grad f1(x_f)."""
 
     z: RealVector
     x_f: RealVector
@@ -56,13 +56,10 @@ def _check_gamma(p: CompositeProblem, params: DysParams) -> None:
 
 
 def _make_state(p: CompositeProblem, params: DysParams, z: RealVector) -> DysState:
-    gamma = params.gamma
-    x_f = p.f2.prox(gamma, z)
-    anchor = 2.0 * x_f.data - z.data - gamma * p.f1.grad(x_f).data
-    x3, f3v = p.f3.prox_with_value(gamma, z.with_data(anchor))
-    u = (anchor - x3.data) / gamma  # a new array: x3 may share anchor's buffer
-    u.setflags(write=False)
-    return DysState(z=z, x_f=x_f, x3=x3, f3_at_x3=f3v, u=u)
+    p.check_shape(z, "z")
+    x_f = p.f2.prox(params.gamma, z)
+    anchor = 2.0 * x_f.data - z.data - params.gamma * p.f1.grad(x_f).data
+    return DysState(z=z, x_f=x_f, **_f3_step(p, params.gamma, z, anchor))
 
 
 def run_dys(
@@ -77,18 +74,15 @@ def run_dys(
     Shares the trace schema of the relaxed runner, with the columns that
     `IterRecord` states for a one-variable solver.
     """
-    stop = stop or StoppingRule()
-    z = z0 if z0 is not None else p.zeros()
     _check_gamma(p, params)
 
     def step(s: DysState, _prev: IterRecord | None):  # no controller reads the previous record
         nxt = _make_state(p, params, _relax(params.lam, s.z, s.x3, s.x_f, "z"))
-        fields = dict(
+        return nxt, dict(
             gamma=params.gamma,
             dz1=_dist(nxt.z, s.z),
             dx1=_dist(nxt.x_f, s.x_f),
             gap31=_dist(nxt.x3, nxt.x_f),
         )
-        return nxt, fields
 
-    return _iterate(p, stop, _make_state(p, params, z), step)
+    return _iterate(p, stop, _make_state(p, params, z0 if z0 is not None else p.zeros()), step)

@@ -118,9 +118,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _missing(path: str) -> list[Path]:
-    """`path` and those of its ancestors that do not exist yet, innermost first."""
-    return [p for p in (Path(path), *Path(path).parents) if not os.path.lexists(p)]
+def _missing(path: str | None, flag: str) -> list[Path]:
+    """`path` and those of its ancestors that do not exist yet, innermost first; none for no path.
+    An empty path is InputError: solve would write nothing to it, and bench would write to the root."""
+    if path == "":
+        raise InputError(f"{flag} must name a path, got ''")
+    return [] if path is None else [p for p in (Path(path), *Path(path).parents) if not os.path.lexists(p)]
 
 
 @contextlib.contextmanager
@@ -152,10 +155,10 @@ def cmd_plan(args) -> int:
 def cmd_solve(args) -> int:
     protocol_kw = _protocol_keywords(args)
     _validate_count(args.n, "--n")  # else generate_instance names it m
-    made = _missing(args.trace) if args.trace else []
+    made = _missing(args.trace, "--trace")
     # open the trace file before solving, so an unwritable path costs no solve,
     # but empty it only once there is a report, so a failed run keeps the old trace
-    with open(args.trace, "a", newline="") if args.trace else contextlib.nullcontext() as fh:
+    with open(args.trace, "a", newline="") if args.trace is not None else contextlib.nullcontext() as fh:
         with _removed_on_failure(made):
             [rep] = run_benchmark([(args.n, args.s)], [args.seed], [args.algo], jobs=1, **protocol_kw)
         if fh:
@@ -169,16 +172,16 @@ def cmd_solve(args) -> int:
         f"iters={rep.iterations} obj={rep.objective:.4f} "
         f"residual={rep.residual:.3e} time_ms={rep.time_ms:.1f}"
     )
-    if args.trace:
+    if args.trace is not None:
         print(f"trace written to {args.trace}")
     return 3 if rep.diverged else 0
 
 
 def cmd_bench(args) -> int:
     _validate_count(args.seeds, "--seeds")
-    made = _missing(args.outdir) if args.outdir else []
+    made = _missing(args.outdir, "--outdir")
     with _removed_on_failure(made):
-        if args.outdir:
+        if args.outdir is not None:
             Path(args.outdir).mkdir(parents=True, exist_ok=True)
         protocol_kw = _protocol_keywords(args)
         for n, _ in args.sizes:
@@ -186,15 +189,15 @@ def cmd_bench(args) -> int:
         reports = run_benchmark(args.sizes, range(args.seeds), args.algos, jobs=args.jobs, **protocol_kw)
     rows = summarize(reports)
     print(format_summary(rows))
-    if args.outdir:
+    if args.outdir is not None:
+        outdir = Path(args.outdir)
         for rep in reports:
-            name = trace_filename(rep.algo, rep.m, rep.n, rep.s, rep.seed)
-            with open(f"{args.outdir}/{name}", "w", newline="") as fh:
+            with open(outdir / trace_filename(rep.algo, rep.m, rep.n, rep.s, rep.seed), "w", newline="") as fh:
                 write_trace_csv(fh, rep.trace)
-        path = f"{args.outdir}/summary.csv"
+        path = outdir / "summary.csv"
         write_summary_csv(path, rows)
         print(f"summary written to {path}")
-        path = f"{args.outdir}/reports.json"
+        path = outdir / "reports.json"
         with open(path, "w") as fh:
             json.dump([{k: v for k, v in vars(r).items() if k != "trace"} for r in reports], fh, indent=1)
         print(f"reports written to {path}")

@@ -65,12 +65,12 @@ def _validate_count(value, name: str, least: int = 1) -> None:
 
 
 def _normalize_shape(shape) -> tuple[int, ...]:
-    if isinstance(shape, (int, np.integer)):
-        shape = (int(shape),)
-    shape = tuple(int(s) for s in shape)
-    if len(shape) not in (1, 2) or any(s <= 0 for s in shape):
-        raise InputError(f"shape must be (d,) or (m, n) with positive sizes, got {shape}")
-    return shape
+    shape = tuple(shape) if isinstance(shape, (tuple, list)) else (shape,)
+    if len(shape) not in (1, 2):
+        raise InputError(f"shape must be (d,) or (m, n), got {shape!r}")
+    for size in shape:
+        _validate_count(size, "shape must be (d,) or (m, n), and each size")
+    return tuple(int(size) for size in shape)
 
 
 @dataclass(frozen=True, eq=False)

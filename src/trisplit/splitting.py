@@ -98,8 +98,7 @@ class SplitState:
     """Governing variables plus the shadow points computed from them.
 
     Invariants: x1 = prox_{gamma f1}(z1); x2 = prox_{(gamma/alpha) f2}(z2/alpha + x1);
-    x3 in prox_{gamma f3}(a), a = x1 - z1 + x2 - z2; f3_at_x3 = f3(x3); the read-only flat
-    array u = (a - x3)/gamma is in f3's regular subdifferential at x3 (prox optimality).
+    x3, f3_at_x3 and u are `_f3_step`'s at the anchor x1 - z1 + x2 - z2.
     """
 
     z1: RealVector
@@ -199,14 +198,21 @@ def _smooth_points(
     return x1, x2
 
 
+def _f3_step(p: CompositeProblem, gamma: float, like: RealVector, anchor: np.ndarray) -> dict:
+    """The f3 step every solver state ends in, as the state fields `_iterate` reads: x3 in
+    prox_{gamma f3}(anchor), the flat `anchor` shaped like `like`; f3_at_x3 = f3(x3); and the read-only
+    flat array u = (anchor - x3)/gamma, in f3's regular subdifferential at x3 (prox optimality)."""
+    x3, f3v = p.f3.prox_with_value(gamma, like.with_data(anchor))
+    u = (anchor - x3.data) / gamma  # a new array: x3 may share anchor's buffer
+    u.setflags(write=False)
+    return dict(x3=x3, f3_at_x3=f3v, u=u)
+
+
 def make_state(p: CompositeProblem, params: RelaxationParams, z1: RealVector, z2: RealVector) -> SplitState:
     """Compute the shadow points for (z1, z2) and bundle them into a state."""
     x1, x2 = _smooth_points(p, params, z1, z2)
     anchor = x1.data - z1.data + x2.data - z2.data
-    x3, f3v = p.f3.prox_with_value(params.gamma, z1.with_data(anchor))
-    u = (anchor - x3.data) / params.gamma  # a new array: x3 may share anchor's buffer
-    u.setflags(write=False)
-    return SplitState(z1=z1, z2=z2, x1=x1, x2=x2, x3=x3, f3_at_x3=f3v, u=u)
+    return SplitState(z1=z1, z2=z2, x1=x1, x2=x2, **_f3_step(p, params.gamma, z1, anchor))
 
 
 def ryu_step(p: CompositeProblem, params: RelaxationParams, s: SplitState) -> SplitState:
@@ -433,12 +439,12 @@ def _certificate(p: CompositeProblem, prox_gamma: float, rho: float, x: RealVect
     return prox_gamma * float(np.linalg.norm(v)) / (1.0 - prox_gamma * rho)
 
 
-def _iterate(p: CompositeProblem, stop: StoppingRule, state, step):
+def _iterate(p: CompositeProblem, stop: StoppingRule | None, state, step):
     """The iteration loop shared by every solver.
 
-    Every solver state names f3's prox point `x3`, f3's value there
-    `f3_at_x3` and the subgradient `u` of f3 at x3 that the prox yields; the
-    loop takes the residual and the objective at x3. `step(state, prev)` gets
+    Every solver state holds the fields of its `_f3_step`: f3's prox point
+    `x3`, f3's value there `f3_at_x3` and the subgradient `u` of f3 at x3;
+    the loop takes the residual and the objective at x3. `step(state, prev)` gets
     the previous IterRecord as prev (None on the first step) and returns the
     next state and the remaining IterRecord fields it has a value for (the
     rest keep IterRecord's blanks). The loop alone numbers the steps: it adds
@@ -447,7 +453,7 @@ def _iterate(p: CompositeProblem, stop: StoppingRule, state, step):
     inside `step`. The loop runs on one condition: the last residual, the
     start's included, is not below tol and fewer than max_iter steps have
     run. It returns the final state and the records, which are empty for a
-    start that already meets the tolerance.
+    start that already meets the tolerance. `stop` defaults to StoppingRule().
 
     The residual rule, stated here only. The residual is the exact
     `composite_residual` at the start, on the last step the budget allows,
@@ -465,6 +471,7 @@ def _iterate(p: CompositeProblem, stop: StoppingRule, state, step):
     certificate is divergence. Every DivergenceError leaves the loop naming
     the step that raised it, with the records so far attached as `.trace`.
     """
+    stop = stop or StoppingRule()
     records: list[IterRecord] = []
     rho = p.f3.weak_convexity
     certify = rho is not None and stop.prox_gamma * rho < 1.0
@@ -529,7 +536,6 @@ def run_ryu(
         raise InputError(
             f"gamma={params.gamma} must equal the controller's current stepsize {controller.gamma_current}"
         )
-    stop = stop or StoppingRule()
     z1 = z1_0 if z1_0 is not None else p.zeros()
     z2 = z2_0 if z2_0 is not None else p.zeros()
     state = make_state(p, params, z1, z2)
@@ -550,7 +556,7 @@ def run_ryu(
                 # from which the step's dx1 and dx2 are measured
                 s = make_state(p, params, s.z1, s.z2)
         nxt = ryu_step(p, params, s)
-        fields = dict(
+        return nxt, dict(
             gamma=params.gamma,
             envelope=state_envelope(p, params, nxt) if _envelope_enabled(p, params) else None,
             dz1=_dist(nxt.z1, s.z1),
@@ -560,7 +566,6 @@ def run_ryu(
             gap31=_dist(nxt.x3, nxt.x1),
             gap32=_dist(nxt.x3, nxt.x2),
         )
-        return nxt, fields
 
     return _iterate(p, stop, state, step)
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -61,6 +62,18 @@ class TestDysStep:
         assert trace[0].dz1 == pytest.approx(abs(z_plus - z), rel=1e-15)
         assert trace[0].dx1 == pytest.approx(abs(x_f_plus - x_f), rel=1e-15)
         assert trace[0].gap31 == pytest.approx(abs(x3_plus - x_f_plus), rel=1e-15)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 2)])
+    def test_rejects_a_misshaped_start_before_any_prox(self, shape, monkeypatch):
+        prob, _ = convex_l1_problem(d=4)
+
+        def no_prox(*args):
+            raise AssertionError("a prox was taken")
+
+        monkeypatch.setattr(type(prob.f2), "prox", no_prox)
+        monkeypatch.setattr(type(prob.f3), "prox_with_value", no_prox)
+        with pytest.raises(InputError, match="^" + re.escape(f"z has shape {shape}, problem expects (4,)")):
+            run_dys(prob, DysParams(gamma=0.5 / prob.f1.lipschitz), RealVector.zeros(shape))
 
     def test_rejects_gamma_at_or_above_gradient_cap(self):
         prob, _ = convex_l1_problem(d=2)

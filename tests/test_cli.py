@@ -330,6 +330,12 @@ class TestExitCodes:
                 2,
                 id="bench-rejected-long-name",
             ),
+            pytest.param(["solve", "--algo", "dys", "--rank", "3", "--max-iter", "5", "--trace", ""], 2, id="solve-empty-trace"),
+            pytest.param(
+                ["bench", "--seeds", "1", "--rank", "3", "--algos", "dys", "--max-iter", "5", "--outdir", ""],
+                2,
+                id="bench-empty-outdir",
+            ),
         ],
     )
     def test_rejected_or_failed_run_leaves_no_new_path(self, argv, code, tmp_path, monkeypatch, capsys):

@@ -74,6 +74,22 @@ class TestRealVector:
         with pytest.raises(InputError, match="shape must be"):
             RealVector.zeros(shape)
 
+    @pytest.mark.parametrize("shape", [(2.9,), (True,), ("1",), (math.nan,), (math.inf,), (2.5, 2.2)], ids=repr)
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda shape: RealVector(np.zeros(2), shape),
+            RealVector.zeros,
+            lambda shape: CompositeProblem(*[QuadraticTerm(matrix=np.eye(2), center=np.zeros(2))] * 2, ZeroProxTerm(), shape),
+            lambda shape: lipschitz_probe(QuadraticTerm(matrix=np.eye(2), center=np.zeros(2)), 1, 0, shape),
+        ],
+        ids=["RealVector", "RealVector.zeros", "CompositeProblem", "lipschitz_probe"],
+    )
+    def test_a_size_follows_the_rule_for_counts(self, build, shape):
+        # a size is a positive integer and never a bool: none is truncated or converted
+        with pytest.raises(InputError, match=r"^shape must be \(d,\) or \(m, n\), and each size must be a positive integer"):
+            build(shape)
+
     def test_data_is_read_only_and_decoupled(self):
         src = np.ones(3)
         v = RealVector(src, (3,))
