@@ -326,6 +326,7 @@ def lipschitz_probe(t: SmoothTerm, trials: int, seed: int, shape) -> float:
     needed because terms do not carry the ambient dimension.
     """
     _validate_count(trials, "trials")
+    _validate_count(seed, "seed", least=0)
     shape = _normalize_shape(shape)
     rng = np.random.default_rng(seed)
     d = math.prod(shape)

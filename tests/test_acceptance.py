@@ -315,6 +315,25 @@ def test_criterion_08_vanishing_displacements_at_termination(benchmark_reports):
     )
 
 
+def test_protocol_stops_are_pinned(benchmark_reports):
+    """The ten converged protocol runs stop at pinned iterations, on a last
+    residual below tol after rows at or above it. The reports carry no final
+    iterate, so whether that last residual is exact is checked in
+    test_splitting, on ryu+ at protocol seed 1 and on all three solvers at a
+    small size, against runs that take the exact residual at every step."""
+    reports, _ = benchmark_reports
+    tol = StoppingRule().tol
+    stops = {
+        "ryu+": [906, 360, 990, 424, 412],
+        "dys": [9125, 3274, 10039, 3842, 3404],
+    }
+    for algo, iterations in stops.items():
+        runs = sorted((r for r in reports if r.algo == algo), key=lambda r: r.seed)
+        assert [(r.seed, r.converged, r.iterations) for r in runs] == [(s, True, k) for s, k in enumerate(iterations)]
+        for r in runs:
+            assert r.trace[-1].residual < tol <= r.trace[-2].residual
+
+
 def test_criterion_09_convex_sanity():
     """On convex 1-D and 5-D triples the iterates and the envelope both reach
     the known minimum."""

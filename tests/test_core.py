@@ -308,6 +308,9 @@ class TestDerivativeProbes:
         for trials in (0, 2.5):
             with pytest.raises(InputError, match="^trials must be a positive integer"):
                 lipschitz_probe(t, trials=trials, seed=3, shape=(6,))
+        for seed in (-1, 2.5, True):
+            with pytest.raises(InputError, match="^seed must be a non-negative integer"):
+                lipschitz_probe(t, trials=1, seed=seed, shape=(6,))
 
 
 @pytest.mark.parametrize("module", [core, proxlib, splitting, stepsize, baselines, bench], ids=lambda m: m.__name__)

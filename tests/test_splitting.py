@@ -26,6 +26,7 @@ from trisplit import (
     RealVector,
     RelaxationParams,
     ScaledL1Term,
+    SeparableMCPTerm,
     SpectralMCPTerm,
     SplitState,
     StoppingRule,
@@ -686,6 +687,19 @@ def certificate_spy(monkeypatch):
     return seen
 
 
+def residual_spy(monkeypatch):
+    """Record every exact residual the loop takes, the start's first."""
+    taken = []
+    real = splitting.composite_residual
+
+    def spy(p, g, x):
+        taken.append(real(p, g, x))
+        return taken[-1]
+
+    monkeypatch.setattr(splitting, "composite_residual", spy)
+    return taken
+
+
 def forbid_certificate(monkeypatch):
     def fail(*args):
         raise AssertionError("a certificate was taken")
@@ -693,20 +707,29 @@ def forbid_certificate(monkeypatch):
     monkeypatch.setattr(splitting, "_certificate", fail)
 
 
-def certified_rows(exact, windowed, tol):
+def certified_rows(exact, windowed, tol, seen):
     """Check that two reports of one run agree bit for bit in every field but
     time_ms and trace, and their traces in every field but residual and
-    time_ms. A residual inside the window or on the last row must be the
-    exact one; elsewhere it must be at least the exact one. Returns the number
-    of rows whose residual differs."""
+    time_ms. `seen` holds `certificate_spy`'s pairs from the windowed run, one
+    per row but a capped run's last. Replaying the window rule on them, a row
+    that takes the exact residual holds it, the last row included, and every
+    other row holds its certificate, which is at least the exact residual.
+    Returns the number of rows whose residual differs."""
     assert bits(windowed, ("time_ms", "trace")) == bits(exact, ("time_ms", "trace"))
     assert len(windowed.trace) == len(exact.trace)
-    for w, e in zip(windowed.trace, exact.trace):
+    assert [e for _, e in seen] == [r.residual for r in exact.trace[: len(seen)]]
+    window, r_max = CERTIFICATE_WINDOW, 1.0
+    for k, (w, e) in enumerate(zip(windowed.trace, exact.trace)):
         assert bits(w, ("residual", "time_ms")) == bits(e, ("residual", "time_ms"))
-        if w.residual < CERTIFICATE_WINDOW * tol or w is windowed.trace[-1]:
+        cert = seen[k][0] if k < len(seen) else None
+        if cert is None or cert < window * tol:
             assert w.residual == e.residual
+            if cert is not None and e.residual > 0.0:
+                r_max = max(r_max, cert / e.residual)
+                window = splitting._RATIO_MARGIN * r_max
         else:
-            assert w.residual >= e.residual
+            assert w.residual == cert >= e.residual
+    assert windowed.trace[-1].residual == exact.trace[-1].residual
     return sum(w.residual != e.residual for w, e in zip(windowed.trace, exact.trace))
 
 
@@ -782,23 +805,20 @@ class TestResidualCertificate:
     @pytest.mark.parametrize("algo", ["ryu", "ryu+", "dys"])
     def test_a_term_without_modulus_takes_the_exact_residual_every_step(self, monkeypatch, tiny_instance, algo):
         stop = StoppingRule(tol=1e-4, max_iter=3000)
+        seen = certificate_spy(monkeypatch)
         windowed = run_experiment(tiny_instance, algo, stop=stop)
-        real_build, real_residual, residuals = bench.build_problem, splitting.composite_residual, []
+        real_build = bench.build_problem
 
         def build_without_modulus(inst):
             p = real_build(inst)
             return dataclasses.replace(p, f3=NoModulus(p.f3))
 
-        def exact_residual(p, g, x):
-            residuals.append(real_residual(p, g, x))
-            return residuals[-1]
-
         monkeypatch.setattr(bench, "build_problem", build_without_modulus)
-        monkeypatch.setattr(splitting, "composite_residual", exact_residual)
+        residuals = residual_spy(monkeypatch)
         forbid_certificate(monkeypatch)
         exact = run_experiment(tiny_instance, algo, stop=stop)
         assert [r.residual for r in exact.trace] == residuals[1:]  # the first is the start's
-        assert certified_rows(exact, windowed, stop.tol) > 0
+        assert certified_rows(exact, windowed, stop.tol, seen) > 0
 
     def test_no_certificate_where_prox_gamma_times_rho_reaches_one(self, monkeypatch, tiny_instance):
         inst = dataclasses.replace(tiny_instance, tau=1e-300)
@@ -809,11 +829,51 @@ class TestResidualCertificate:
 
     def test_protocol_ryu_plus_report_is_the_same_without_the_modulus(self, monkeypatch):
         inst = generate_instance(**PROTOCOL_SEED, seed=1)
+        seen, taken = certificate_spy(monkeypatch), residual_spy(monkeypatch)
         windowed = run_experiment(inst, "ryu+")
+        # the start's and 30 in the window, against 100 under a window fixed at 2 tol
+        assert len(taken) == 1 + 30
         monkeypatch.setattr(SpectralMCPTerm, "weak_convexity", None)
         exact = run_experiment(inst, "ryu+")
         assert windowed.converged and windowed.iterations == 360
-        assert certified_rows(exact, windowed, StoppingRule().tol) > 200
+        assert certified_rows(exact, windowed, StoppingRule().tol, seen) > 200
+
+    def test_an_understated_modulus_fails_loudly(self):
+        # the true rho is weight/tau = 0.15; stating 0 shrinks the certificate
+        # by the factor 1 - prox_gamma * 0.15, which this instance shows
+        class UnderstatedMCP(SeparableMCPTerm):
+            weak_convexity = 0.0
+
+        prob = make_quadratic_problem(np.random.default_rng(0), d=6, f3="mcp")
+        prob = dataclasses.replace(prob, f3=UnderstatedMCP(weight=prob.f3.weight, tau=prob.f3.tau))
+        stop = StoppingRule(tol=1e-6, max_iter=3000)
+        pl = plan(prob.f1.lipschitz, prob.f2.lipschitz, lam=1.0, alpha=0.8)
+        for run in (
+            lambda: run_ryu(prob, RelaxationParams(gamma=pl.gamma_ryu, lam=1.0, alpha=0.8), stop=stop),
+            lambda: run_dys(prob, DysParams(gamma=0.9 / prob.f1.lipschitz), stop=stop),
+        ):
+            with pytest.raises(InputError, match=r"^f3 \(UnderstatedMCP\) states weak_convexity 0\.0, but at iteration \d+"):
+                run()
+
+    def test_a_tight_certificate_far_from_the_origin_is_not_a_wrong_modulus(self):
+        # ZeroProxTerm states its true rho = 0 and its prox is the identity, so
+        # the certificate equals the exact residual up to rounding of size
+        # eps ||x||. With the centres near 1e3 that rounding is about 1e-13,
+        # far above any fixed allowance near tol = 1e-6.
+        prob = make_quadratic_problem(np.random.default_rng(0), d=6)
+        prob = dataclasses.replace(
+            prob,
+            f1=dataclasses.replace(prob.f1, center=prob.f1.center + 1e3),
+            f2=dataclasses.replace(prob.f2, center=prob.f2.center + 1e3),
+            f3=ZeroProxTerm(),
+        )
+        stop = StoppingRule(tol=1e-6, max_iter=3000)
+        pl = plan(prob.f1.lipschitz, prob.f2.lipschitz, lam=1.0, alpha=0.8)
+        for _, trace in (
+            run_ryu(prob, RelaxationParams(gamma=pl.gamma_ryu, lam=1.0, alpha=0.8), stop=stop),
+            run_dys(prob, DysParams(gamma=0.9 / prob.f1.lipschitz), stop=stop),
+        ):
+            assert trace[-1].residual < stop.tol
 
 
 class TestTraceExport:
